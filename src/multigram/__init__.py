@@ -22,13 +22,11 @@ from .data import (
 )
 from .encoders import (
     EncoderOutput,
-    NodeState,
     TreeLstmParams,
     bilstm_encode,
     cnn_encode,
     encode_bi_forest,
     encode_dag,
-    tree_lstm_cell,
 )
 from .explain import (
     Evidence,

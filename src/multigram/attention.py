@@ -7,7 +7,7 @@ pipeline later reads off as evidence strengths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ class ModelOutput:
     text_vector: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-    unit_spans: list[Span] = field(default_factory=list)
+    unit_spans: Sequence[Span] = ()
 
     @property
     def predicted(self) -> int:

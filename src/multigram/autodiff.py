@@ -15,7 +15,6 @@ float64.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,27 +29,25 @@ class NumericError(RuntimeError):
     """A non-finite value appeared where finite arithmetic was required."""
 
 
-class _ThreadState(threading.local):
-    def __init__(self):
-        self.tapes: list["Tape"] = []
-        self.macs: int = 0
-
-
-_STATE = _ThreadState()
+# Active tapes, innermost last.
+_TAPES: list["Tape"] = []
+_macs = 0
 
 
 def reset_mac_count() -> None:
-    _STATE.macs = 0
+    global _macs
+    _macs = 0
 
 
 def mac_count() -> int:
-    """Multiply-accumulate operations performed by forward linear algebra on
-    this thread since the last reset."""
-    return _STATE.macs
+    """Multiply-accumulate operations performed by forward linear algebra
+    since the last reset."""
+    return _macs
 
 
 def _add_macs(n: int) -> None:
-    _STATE.macs += n
+    global _macs
+    _macs += n
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -125,11 +122,11 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _STATE.tapes.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _STATE.tapes.pop()
+        popped = _TAPES.pop()
         assert popped is self
 
     def _record(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], pull) -> None:
@@ -140,12 +137,11 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor, seed: float = 1.0, into: Optional[dict] = None) -> None:
-        """Propagate d(loss)/d(tensor) to every recorded tensor.
+    def backward(self, loss: Tensor, seed: float = 1.0) -> None:
+        """Propagate d(seed * loss)/d(tensor) to every recorded tensor.
 
         Gradients for leaf tensors (those not produced on this tape) are
-        accumulated into ``tensor.grad``, or into the ``into`` mapping when
-        given, which keeps worker threads from touching shared state.
+        added into ``tensor.grad``, so successive calls accumulate.
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -180,19 +176,14 @@ class Tape:
             grad = grads[key]
             if isinstance(grad, RowSpanGrad):
                 grad = grad.densify()
-            if into is not None:
-                if tensor in into:
-                    into[tensor] += grad
-                else:
-                    into[tensor] = grad
-            elif tensor.grad is None:
+            if tensor.grad is None:
                 tensor.grad = grad
             else:
                 tensor.grad += grad
 
 
 def _tape() -> Optional[Tape]:
-    return _STATE.tapes[-1] if _STATE.tapes else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor], pull_builder) -> Tensor:
@@ -974,9 +965,10 @@ def check_gradients(
     differences, coordinate by coordinate (sampled for large tensors).
 
     The closure must be deterministic: run dropout in eval mode or with a
-    fixed mask.  Per-coordinate error is |a - n| / max(|a|, |n|, 1), i.e.
-    relative error with a unit-scale guard so near-zero coordinates are
-    compared absolutely instead of amplifying truncation noise.
+    fixed mask.  The checked tensors' ``.grad`` is cleared and then holds
+    the analytic gradient.  Per-coordinate error is |a - n| / max(|a|, |n|,
+    1), i.e. relative error with a unit-scale guard so near-zero coordinates
+    are compared absolutely instead of amplifying truncation noise.
     """
     if isinstance(params, ParamStore):
         params = params.items()
@@ -986,11 +978,12 @@ def check_gradients(
         return report
     rng = rng or np.random.default_rng(0)
 
+    for _, tensor in params:
+        tensor.grad = None
     with Tape() as tape:
         loss = closure()
-        analytic: dict[Tensor, np.ndarray] = {}
         if loss.requires_grad:
-            tape.backward(loss, into=analytic)
+            tape.backward(loss)
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss during gradient check")
 
@@ -1002,8 +995,7 @@ def check_gradients(
             if count <= max_coords
             else rng.choice(count, size=max_coords, replace=False)
         )
-        grad = analytic.get(tensor)
-        grad_flat = np.zeros(count) if grad is None else grad.reshape(-1)
+        grad_flat = np.zeros(count) if tensor.grad is None else tensor.grad.reshape(-1)
         worst = 0.0
         for c in coords:
             original = flat[c]

@@ -123,7 +123,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--patience", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--memory-update", choices=("hidden", "cell"), dest="memory_update")
-    parser.add_argument("--threads", type=int)
 
 
 def build_parser() -> _Parser:

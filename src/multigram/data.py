@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -212,7 +212,13 @@ def load_embeddings(
                     raise DataError(
                         f"{path}:{lineno}: {len(parts) - 1} values, expected {dim}"
                     )
-                matrix[vocab.id_of[token]] = np.array(parts[1:], dtype=np.float64)
+                try:
+                    row = np.array(parts[1:], dtype=np.float64)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+                if not np.all(np.isfinite(row)):
+                    raise DataError(f"{path}:{lineno}: non-finite embedding value")
+                matrix[vocab.id_of[token]] = row
                 covered += 1
     in_vocab = max(len(vocab) - 1, 1)
     tensor = Tensor(matrix, requires_grad=False, name="embeddings")
@@ -272,7 +278,31 @@ def read_checkpoint_header(path) -> dict:
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
         (header_len,) = struct.unpack("<I", _read_exact(handle, 4, "header length"))
-        return json.loads(_read_exact(handle, header_len, "header"))
+        blob = _read_exact(handle, header_len, "header")
+    try:
+        header = json.loads(blob)
+    except ValueError:
+        raise DataError(f"{path}: checkpoint header is not valid JSON") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    return header
+
+
+def _stored_config(path: Path, header: dict) -> ModelConfig:
+    stored = header.get("config")
+    if not isinstance(stored, dict):
+        raise DataError(f"{path}: checkpoint header has no config object")
+    # Every field is required: a missing one must not load as its default.
+    odd = sorted(set(stored) ^ {f.name for f in fields(ModelConfig)})
+    if odd:
+        state = "unknown" if odd[0] in stored else "missing"
+        raise DataError(f"{path}: {state} config key {odd[0]!r} in checkpoint header")
+    try:
+        config = ModelConfig(**stored)
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid stored config: {exc}") from None
+    return config
 
 
 def load_checkpoint(path, require: Optional[dict] = None) -> TextClassifier:
@@ -281,7 +311,7 @@ def load_checkpoint(path, require: Optional[dict] = None) -> TextClassifier:
     value that disagrees is refused instead of silently reinterpreted."""
     path = Path(path)
     header = read_checkpoint_header(path)
-    config = ModelConfig(**header["config"])
+    config = _stored_config(path, header)
     if require:
         for key, wanted in require.items():
             stored = getattr(config, key)

@@ -11,23 +11,15 @@ aligned with a span list, ready for attention pooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GATE_COUNT, LEAF_GATE_COUNT, ParamStore, ShapeError, Tensor, leaf_gate_rows
-from .structures import NgramDag, Span, build_structure
+from .structures import NgramDag, Span, ngram_dag, ngram_spans
 
 MEMORY_UPDATES = ("hidden", "cell")
-
-
-@dataclass
-class NodeState:
-    """State of one structure node: hidden vector h and memory vector c."""
-
-    h: Tensor
-    c: Tensor
 
 
 @dataclass
@@ -35,7 +27,7 @@ class EncoderOutput:
     """Unit representations: row i of ``h`` describes ``spans[i]``."""
 
     h: Tensor
-    spans: list[Span]
+    spans: Sequence[Span]
 
     @property
     def width(self) -> int:
@@ -89,51 +81,6 @@ def init_tree_lstm_params(
     )
 
 
-def zero_state(hidden_dim: int) -> NodeState:
-    return NodeState(Tensor(np.zeros(hidden_dim)), Tensor(np.zeros(hidden_dim)))
-
-
-def _check_memory_update(memory_update: str) -> None:
-    if memory_update not in MEMORY_UPDATES:
-        raise ValueError(f"memory_update must be one of {MEMORY_UPDATES}, got {memory_update!r}")
-
-
-def tree_lstm_cell(
-    x: Optional[Tensor],
-    left: Optional[NodeState],
-    right: Optional[NodeState],
-    params: TreeLstmParams,
-    memory_update: str = "hidden",
-) -> NodeState:
-    """One gated binary composition step.
-
-    ``x`` is the node's label embedding (None means the zero vector used for
-    internal nodes), and absent children stand for zero states; terms whose
-    operand is structurally zero are skipped, which is exact.  With the
-    default ``memory_update="hidden"`` the children enter the memory sum
-    through their hidden vectors; ``"cell"`` substitutes their memory
-    vectors, the conventional tree-LSTM update.
-    """
-    _check_memory_update(memory_update)
-    pre = params.bias
-    if x is not None:
-        pre = ad.add(ad.matvec(params.w, x), pre)
-    if left is not None:
-        pre = ad.add(pre, ad.matvec(params.u_left, left.h))
-    if right is not None:
-        pre = ad.add(pre, ad.matvec(params.u_right, right.h))
-    gate_in, gate_fl, gate_fr, gate_out, gate_cand = ad.split_last(pre, GATE_COUNT)
-    c = ad.mul(ad.sigmoid(gate_in), ad.tanh(gate_cand))
-    if left is not None:
-        source = left.h if memory_update == "hidden" else left.c
-        c = ad.add(c, ad.mul(ad.sigmoid(gate_fl), source))
-    if right is not None:
-        source = right.h if memory_update == "hidden" else right.c
-        c = ad.add(c, ad.mul(ad.sigmoid(gate_fr), source))
-    h = ad.mul(ad.sigmoid(gate_out), ad.tanh(c))
-    return NodeState(h, c)
-
-
 def _leaf_level(x_rows: Tensor, params: TreeLstmParams) -> tuple[Tensor, Tensor]:
     """All leaves at once, computing only their three live gates."""
     rows = leaf_gate_rows(params.hidden_dim)
@@ -163,7 +110,8 @@ def encode_dag(
     nodes consume their children's states with a zero label embedding.  Row
     order equals node-id order (level by level, left to right).
     """
-    _check_memory_update(memory_update)
+    if memory_update not in MEMORY_UPDATES:
+        raise ValueError(f"memory_update must be one of {MEMORY_UPDATES}, got {memory_update!r}")
     _check_alignment(dag, token_embeddings)
     if dag.kind == "tree":
         return _encode_tree(dag, token_embeddings, params, memory_update)
@@ -255,53 +203,17 @@ def _encode_tree(dag, token_embeddings, params, memory_update):
     return EncoderOutput(h_all, dag.spans)
 
 
-def encode_dag_reference(
-    dag: NgramDag,
-    token_embeddings: Tensor,
-    params: TreeLstmParams,
-    memory_update: str = "hidden",
-    node_order: Optional[Sequence[int]] = None,
-    cell=tree_lstm_cell,
-) -> EncoderOutput:
-    """Node-at-a-time oracle for :func:`encode_dag`.
-
-    Evaluates one cell per node in ``node_order`` (any order that visits
-    children first; defaults to level order) and stacks hidden vectors by
-    node id.  Slow but obviously faithful to the cell semantics; tests
-    compare the vectorized encoder against it.
-    """
-    _check_alignment(dag, token_embeddings)
-    order = list(node_order) if node_order is not None else [i for lvl in dag.levels for i in lvl]
-    states: dict[int, NodeState] = {}
-    for node_id in order:
-        node = dag.nodes[node_id]
-        if node.is_leaf:
-            x = ad.pick_row(token_embeddings, node.span.start)
-            states[node_id] = cell(x, None, None, params, memory_update)
-        else:
-            left, right = node.children
-            states[node_id] = cell(None, states[left], states[right], params, memory_update)
-    h = ad.stack_rows([states[i].h for i in range(len(dag.nodes))])
-    return EncoderOutput(h, dag.spans)
-
-
 def encode_bi_forest(
     token_embeddings: Tensor,
     left_params: TreeLstmParams,
     right_params: TreeLstmParams,
     max_order: int,
     memory_update: str = "hidden",
-    dags: Optional[tuple[NgramDag, NgramDag]] = None,
 ) -> EncoderOutput:
     """Concatenate left-forest and right-forest representations per span."""
     n = token_embeddings.shape[0]
-    if dags is None:
-        dags = (
-            build_structure("leftforest", n, max_order),
-            build_structure("rightforest", n, max_order),
-        )
-    left_dag, right_dag = dags
-    assert left_dag.spans == right_dag.spans, "forest span sets must align"
+    left_dag = ngram_dag("leftforest", n, max_order)
+    right_dag = ngram_dag("rightforest", n, max_order)
     left_out = encode_dag(left_dag, token_embeddings, left_params, memory_update)
     right_out = encode_dag(right_dag, token_embeddings, right_params, memory_update)
     return EncoderOutput(ad.concat_cols([left_out.h, right_out.h]), left_out.spans)
@@ -329,10 +241,6 @@ class LstmDirectionParams:
 class BiLstmParams:
     forward: LstmDirectionParams
     backward: LstmDirectionParams
-
-    @property
-    def output_width(self) -> int:
-        return self.forward.hidden_dim + self.backward.hidden_dim
 
     def tensors(self) -> list[Tensor]:
         return [
@@ -409,7 +317,7 @@ def bilstm_encode_batch(
 def bilstm_encode(token_embeddings: Tensor, params: BiLstmParams) -> EncoderOutput:
     n = token_embeddings.shape[0]
     h = bilstm_encode_batch(token_embeddings, 1, n, params)
-    return EncoderOutput(h, [Span(i, 1) for i in range(n)])
+    return EncoderOutput(h, ngram_spans(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +357,12 @@ def cnn_encode(token_embeddings: Tensor, params: CnnParams) -> EncoderOutput:
     """One tanh convolution per ngram order; unit set equals the ngram span
     set, so attention is comparable like-for-like with the forests."""
     n = token_embeddings.shape[0]
-    blocks, spans = [], []
+    blocks = []
     for k in range(1, min(params.max_order, n) + 1):
         conv = ad.conv_ngram(token_embeddings, params.filters[k - 1], params.biases[k - 1], k)
         blocks.append(ad.tanh(conv))
-        spans.extend(Span(i, k) for i in range(n - k + 1))
     h = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
-    return EncoderOutput(h, spans)
+    return EncoderOutput(h, ngram_spans(n, params.max_order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Full classifier: encoder + attention pooling + prediction layer."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import NgramDag, build_structure, bracketing_leaves, parse_bracketing
+from .structures import NgramDag, build_structure, bracketing_leaves, ngram_dag, parse_bracketing
 
 ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
 FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -116,15 +116,8 @@ class TextClassifier:
         )
         for _, tensor in self.store.items():
             tensor.data = tensor.data.astype(embeddings.data.dtype, copy=False)
-        self._dag_cache: dict[tuple[str, int], NgramDag] = {}
 
     # -- structure plumbing -------------------------------------------------
-
-    def _dag(self, kind: str, n: int) -> NgramDag:
-        key = (kind, n)
-        if key not in self._dag_cache:
-            self._dag_cache[key] = build_structure(kind, n, self.config.max_order)
-        return self._dag_cache[key]
 
     def _tree_dag(self, parse: Optional[str], n: int) -> NgramDag:
         if parse is None:
@@ -137,30 +130,18 @@ class TextClassifier:
             )
         return dag
 
-    def unit_dag(self, n: int, parse: Optional[str] = None) -> Optional[NgramDag]:
-        """Structure the encoder attends over, or None for bilstm/cnn whose
-        unit sets are implicit (word positions / all ngram spans)."""
-        kind = self.config.encoder
-        if kind in FOREST_KINDS:
-            return self._dag(kind, n)
-        if kind == "biforest":
-            return self._dag("leftforest", n)
-        if kind == "tree":
-            return self._tree_dag(parse, n)
-        return None
-
     def _encode(self, x: Tensor, parse: Optional[str]) -> enc.EncoderOutput:
         kind = self.config.encoder
         n = x.shape[0]
         mu = self.config.memory_update
         if kind in FOREST_KINDS:
-            return enc.encode_dag(self._dag(kind, n), x, self.tree_params, mu)
+            dag = ngram_dag(kind, n, self.config.max_order)
+            return enc.encode_dag(dag, x, self.tree_params, mu)
         if kind == "tree":
             return enc.encode_dag(self._tree_dag(parse, n), x, self.tree_params, mu)
         if kind == "biforest":
-            dags = (self._dag("leftforest", n), self._dag("rightforest", n))
             return enc.encode_bi_forest(
-                x, self.left_params, self.right_params, self.config.max_order, mu, dags
+                x, self.left_params, self.right_params, self.config.max_order, mu
             )
         if kind == "bilstm":
             return enc.bilstm_encode(x, self.bilstm_params)

@@ -3,12 +3,15 @@
 Every encoder in this package walks one of four unit structures built over a
 document: a binarized parse tree, a pyramid of all ngrams, or a left- or
 right-branching forest of all ngrams.  Nodes are organized into dependency
-levels so that a whole level can be evaluated at once.
+levels so that a whole level can be evaluated at once.  Span lists and ngram
+structures depend only on (kind, length, max order), so they are built once
+per process and shared.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 STRUCTURE_KINDS = ("tree", "pyramid", "leftforest", "rightforest")
@@ -57,6 +60,7 @@ class NgramDag:
     max_order: int
     nodes: tuple[NgramNode, ...]
     levels: tuple[tuple[int, ...], ...]
+    spans: tuple[Span, ...]  # spans[i] is nodes[i].span
 
     def node_for_span(self, start: int, order: int) -> NgramNode:
         for node in self.nodes:
@@ -64,9 +68,17 @@ class NgramDag:
                 return node
         raise KeyError(f"no node with span ({start}, {order})")
 
-    @property
-    def spans(self) -> list[Span]:
-        return [node.span for node in self.nodes]
+
+@cache
+def ngram_spans(n: int, max_order: int) -> tuple[Span, ...]:
+    """Every span of order 1..min(max_order, n) over ``n`` tokens, order by
+    order and left to right.  This is the unit set of the ngram structures
+    and of the CNN bank; ``max_order=1`` gives the BiLSTM's word positions."""
+    return tuple(
+        Span(start, order)
+        for order in range(1, min(max_order, n) + 1)
+        for start in range(n - order + 1)
+    )
 
 
 def _ngram_children(kind: str, start: int, order: int) -> tuple[Span, Span]:
@@ -108,24 +120,26 @@ def build_structure(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
 
     effective = min(max_order, n)
+    spans = ngram_spans(n, max_order)
     span_ids: dict[Span, int] = {}
     nodes: list[NgramNode] = []
-    levels: list[tuple[int, ...]] = []
-    for order in range(1, effective + 1):
-        level_ids = []
-        for start in range(n - order + 1):
-            span = Span(start, order)
-            node_id = len(nodes)
-            span_ids[span] = node_id
-            if order == 1:
-                children = None
-            else:
-                left, right = _ngram_children(kind, start, order)
-                children = (span_ids[left], span_ids[right])
-            nodes.append(NgramNode(node_id, span, children, order))
-            level_ids.append(node_id)
-        levels.append(tuple(level_ids))
-    return NgramDag(kind, n, effective, tuple(nodes), tuple(levels))
+    levels: list[list[int]] = [[] for _ in range(effective)]
+    for node_id, span in enumerate(spans):
+        children = None
+        if span.order > 1:
+            left, right = _ngram_children(kind, span.start, span.order)
+            children = (span_ids[left], span_ids[right])
+        span_ids[span] = node_id
+        nodes.append(NgramNode(node_id, span, children, span.order))
+        levels[span.order - 1].append(node_id)
+    return NgramDag(kind, n, effective, tuple(nodes), tuple(map(tuple, levels)), spans)
+
+
+@cache
+def ngram_dag(kind: str, n: int, max_order: int) -> NgramDag:
+    """``build_structure(kind, n, max_order)`` for the ngram kinds, built
+    once per process: the structure depends only on its arguments."""
+    return build_structure(kind, n, max_order)
 
 
 def level_schedule(dag: NgramDag) -> list[list[int]]:
@@ -248,7 +262,7 @@ def _build_tree(tokens: Sequence[str] | int, parse: str) -> NgramDag:
         levels[level - 1].append(node_id)
     return NgramDag(
         "tree", n, max(span.order for span in entries), tuple(nodes),
-        tuple(tuple(level) for level in levels),
+        tuple(tuple(level) for level in levels), tuple(node.span for node in nodes),
     )
 
 

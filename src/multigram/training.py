@@ -1,17 +1,15 @@
 """Mini-batch training with ADAM, frozen embeddings and dev-set selection.
 
 Batches contain same-length documents only (exact-length bucketing), which
-removes padding entirely.  Per-document encoders compute one gradient per
-document and reduce them in fixed index order, so the optional thread pool
-changes who computes, never what is summed in which order; results are
-bit-identical across thread counts.  The step-batched BiLSTM runs the same
-single code path regardless of the thread setting.
+removes padding entirely.  Per-document encoders run each document under its
+own tape and backpropagate its share of the batch loss straight into the
+parameters' ``.grad``, in batch order; the step-batched BiLSTM runs the whole
+batch under one tape.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +25,7 @@ from .model import ModelConfig, TextClassifier
 TRAINING_DTYPE = np.float32
 
 # spawn_key tags for the package's seeded generators, so every random
-# decision is reproducible from one seed and independent of threading.
+# decision is reproducible from one seed.
 _KEY_SHUFFLE = 1
 _KEY_DOC_DROPOUT = 2
 _KEY_EMBEDDINGS = 3
@@ -52,7 +50,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     memory_update: str = "hidden"
-    threads: int = 1
 
     def model_config(self, num_classes: int) -> ModelConfig:
         return ModelConfig(
@@ -69,8 +66,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("learning_rate, batch_size and epochs must be positive")
-        if self.patience < 1 or self.threads < 1:
-            raise ValueError("patience and threads must be positive")
+        if self.patience < 1:
+            raise ValueError("patience must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -225,57 +222,29 @@ def bucket_batches(lengths: Sequence[int], order: Sequence[int], batch_size: int
 # ---------------------------------------------------------------------------
 
 
-def _doc_gradients(model, docs, idx, epoch, seed, scale):
-    rng = derive_rng(seed, _KEY_DOC_DROPOUT, epoch, int(idx))
-    with Tape() as tape:
-        output, loss = model.forward_doc(
-            docs.ids[idx],
-            gold=int(docs.labels[idx]),
-            parse=docs.parse_for(idx),
-            train=True,
-            rng=rng,
-        )
-        grads: dict[Tensor, np.ndarray] = {}
-        tape.backward(loss, seed=scale, into=grads)
-    return grads, float(loss.data), output.predicted == int(docs.labels[idx])
-
-
-def _per_doc_batch(model, docs, batch, epoch, config, pool) -> tuple[float, int]:
-    """Gradient step over one batch, one tape per document; per-document
-    gradients reduce in batch order whether or not a pool is used."""
-    scale = 1.0 / len(batch)
-    if pool is None:
-        results = [
-            _doc_gradients(model, docs, idx, epoch, config.seed, scale) for idx in batch
-        ]
-    else:
-        results = list(
-            pool.map(
-                lambda idx: _doc_gradients(model, docs, idx, epoch, config.seed, scale),
-                batch,
-            )
-        )
+def _train_batch(model, docs, batch, epoch, batch_index, config) -> tuple[float, int]:
+    """Accumulate the gradient of one batch's mean loss into the parameters;
+    returns (summed loss, correct predictions)."""
+    if model.config.encoder == "bilstm":
+        ids_matrix = np.stack([docs.ids[idx] for idx in batch])
+        golds = docs.labels[batch]
+        rng = derive_rng(config.seed, _KEY_BATCH_DROPOUT, epoch, batch_index)
+        with Tape() as tape:
+            loss, logits, _ = model.forward_batch_bilstm(ids_matrix, golds, train=True, rng=rng)
+            tape.backward(loss)
+        return float(loss.data) * len(batch), int((logits.argmax(axis=1) == golds).sum())
     loss_sum, correct = 0.0, 0
-    for grads, loss_value, hit in results:
-        loss_sum += loss_value
-        correct += int(hit)
-        for tensor, grad in grads.items():
-            if tensor.grad is None:
-                tensor.grad = grad
-            else:
-                tensor.grad += grad
+    for idx in batch:
+        gold = int(docs.labels[idx])
+        rng = derive_rng(config.seed, _KEY_DOC_DROPOUT, epoch, int(idx))
+        with Tape() as tape:
+            output, loss = model.forward_doc(
+                docs.ids[idx], gold=gold, parse=docs.parse_for(idx), train=True, rng=rng
+            )
+            tape.backward(loss, seed=1.0 / len(batch))
+        loss_sum += float(loss.data)
+        correct += int(output.predicted == gold)
     return loss_sum, correct
-
-
-def _bilstm_batch(model, docs, batch, epoch, batch_index, config) -> tuple[float, int]:
-    ids_matrix = np.stack([docs.ids[idx] for idx in batch])
-    golds = docs.labels[batch]
-    rng = derive_rng(config.seed, _KEY_BATCH_DROPOUT, epoch, batch_index)
-    with Tape() as tape:
-        loss, logits, _ = model.forward_batch_bilstm(ids_matrix, golds, train=True, rng=rng)
-        tape.backward(loss)
-    correct = int((logits.argmax(axis=1) == golds).sum())
-    return float(loss.data) * len(batch), correct
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +314,7 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def run_epoch(model, docs, adam, epoch: int, config: TrainConfig, pool=None) -> tuple[float, float]:
+def run_epoch(model, docs, adam, epoch: int, config: TrainConfig) -> tuple[float, float]:
     """One pass over ``docs``: shuffle, bucket into same-length batches, and
     take one ADAM step per batch.  Returns (mean loss, training accuracy)."""
     order = derive_rng(config.seed, _KEY_SHUFFLE, epoch).permutation(len(docs))
@@ -353,14 +322,7 @@ def run_epoch(model, docs, adam, epoch: int, config: TrainConfig, pool=None) -> 
     loss_sum, correct = 0.0, 0
     for batch_index, batch in enumerate(batches):
         adam.zero_grad()
-        if model.config.encoder == "bilstm":
-            batch_loss, batch_correct = _bilstm_batch(
-                model, docs, batch, epoch, batch_index, config
-            )
-        else:
-            batch_loss, batch_correct = _per_doc_batch(
-                model, docs, batch, epoch, config, pool
-            )
+        batch_loss, batch_correct = _train_batch(model, docs, batch, epoch, batch_index, config)
         loss_sum += batch_loss
         correct += batch_correct
         adam.step()
@@ -382,28 +344,23 @@ def train(config: TrainConfig, bundle: DataBundle) -> TrainResult:
         init_seed=config.seed,
     )
     adam = Adam(model.store, config.learning_rate)
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     history: list[EpochStats] = []
     best_state = model.store.state_dict()
     best_acc, best_epoch, stale = -1.0, -1, 0
-    try:
-        for epoch in range(config.epochs):
-            started = time.perf_counter()
-            train_loss, train_acc = run_epoch(model, bundle.train, adam, epoch, config, pool)
-            dev_acc = evaluate(model, bundle.dev).accuracy
-            history.append(
-                EpochStats(epoch, train_loss, train_acc, dev_acc, time.perf_counter() - started)
-            )
-            if dev_acc > best_acc:
-                best_acc, best_epoch, stale = dev_acc, epoch, 0
-                best_state = model.store.state_dict()
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        train_loss, train_acc = run_epoch(model, bundle.train, adam, epoch, config)
+        dev_acc = evaluate(model, bundle.dev).accuracy
+        history.append(
+            EpochStats(epoch, train_loss, train_acc, dev_acc, time.perf_counter() - started)
+        )
+        if dev_acc > best_acc:
+            best_acc, best_epoch, stale = dev_acc, epoch, 0
+            best_state = model.store.state_dict()
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
     model.store.load_state_dict(best_state)
     return TrainResult(model, history, best_acc, best_epoch)
 
@@ -451,7 +408,6 @@ def benchmark(
     """Wall-clock one training epoch and one dev evaluation per encoder,
     plus parameter counts and instrumented encoder MACs on the train set."""
     rows = []
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     for kind in encoders:
         cfg = replace(config, encoder=kind)
         model = TextClassifier(
@@ -463,13 +419,10 @@ def benchmark(
         )
         adam = Adam(model.store, cfg.learning_rate)
         warm = bucket_batches(bundle.train.lengths, np.arange(len(bundle.train)), cfg.batch_size)[0]
-        if model.config.encoder == "bilstm":
-            _bilstm_batch(model, bundle.train, warm, 0, 0, cfg)
-        else:
-            _per_doc_batch(model, bundle.train, warm, 0, cfg, pool)
+        _train_batch(model, bundle.train, warm, 0, 0, cfg)
         adam.zero_grad()
         started = time.perf_counter()
-        run_epoch(model, bundle.train, adam, 0, cfg, pool)
+        run_epoch(model, bundle.train, adam, 0, cfg)
         train_seconds = time.perf_counter() - started
         started = time.perf_counter()
         evaluate(model, bundle.dev)
@@ -483,8 +436,6 @@ def benchmark(
                 encoder_macs=measure_encoder_macs(model, bundle.train),
             )
         )
-    if pool is not None:
-        pool.shutdown()
     return rows
 
 

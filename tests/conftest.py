@@ -38,3 +38,14 @@ def fresh_cnn_params(embed_dim, hidden_dim, max_order, seed=0):
 
 def random_embeddings(n, embed_dim, seed=0, scale=0.5):
     return Tensor(np.random.default_rng(seed).normal(scale=scale, size=(n, embed_dim)))
+
+
+def rewrite_checkpoint_header(path, header: dict) -> None:
+    """Replace the JSON header of the checkpoint at ``path``, keeping its blobs."""
+    import json
+    import struct
+
+    blob = json.dumps(header).encode("utf-8")
+    raw = path.read_bytes()
+    (old_len,) = struct.unpack("<I", raw[8:12])
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + old_len :])

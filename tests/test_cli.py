@@ -8,6 +8,8 @@ from multigram.cli import main
 from multigram.data import save_corpus
 from multigram.synthetic import make_planted_corpus
 
+from conftest import rewrite_checkpoint_header
+
 
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
@@ -103,9 +105,23 @@ class TestConfigFile:
         assert "[config] hidden_dim = 6" in stdout
 
     def test_unknown_key_rejected(self, corpus_path, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("explosiveness = 11\n")
-        assert run(["train", "--config", cfg, "--corpus", corpus_path]) == 1
+        # ``threads`` was a key once; it is now as unknown as any other.
+        for key in ("explosiveness", "threads"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = 11\n")
+            assert run(["train", "--config", cfg, "--corpus", corpus_path]) == 1
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, problem", [("nan", "non-finite"), ("x1", "non-numeric")])
+    def test_bad_embedding_value_is_a_data_error(self, corpus_path, tmp_path, capsys,
+                                                 value, problem):
+        word = corpus_path.read_text().split("\n")[0].split("\t")[1].split()[0]
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text(f"{word} " + " ".join(["0.1"] * 9 + [value]) + "\n")
+        code = run(["train", "--corpus", corpus_path, "--embeddings", embeddings, *FAST,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert f"vectors.txt:1: {problem}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +151,24 @@ class TestEvalExplainBench:
                     "--memory-update", "cell"])
         assert code == 2
         assert "memory_update" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("attention_heads", 4, "unknown config key 'attention_heads'"),
+        ("encoder", "transformer", "invalid stored config"),
+    ])
+    def test_bad_checkpoint_config_is_a_data_error(self, trained_run, corpus_path, tmp_path,
+                                                   capsys, key, value, message):
+        from multigram.data import read_checkpoint_header
+
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(trained_run.read_bytes())
+        header = read_checkpoint_header(broken)
+        header["config"][key] = value
+        rewrite_checkpoint_header(broken, header)
+        code = run(["eval", "--checkpoint", broken, "--corpus", corpus_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "broken.ckpt" in err and message in err
 
     def test_checkpoint_is_float32_and_reloads_bit_for_bit(self, trained_run, tmp_path):
         from multigram.data import load_checkpoint, read_checkpoint_header, save_checkpoint

@@ -22,6 +22,8 @@ from multigram.data import (
 from multigram.errors import DataError
 from multigram.model import ModelConfig, TextClassifier
 
+from conftest import rewrite_checkpoint_header
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -187,6 +189,19 @@ class TestVocabAndEmbeddings:
         with pytest.raises(DataError, match=":1"):
             load_embeddings(path, vocab, dim=3, seed=0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        vocab = Vocab.build([["apple", "pear"]])
+        path = write(tmp_path, "e.txt", f"apple 1 2 3\npear 1 {value} 3\n")
+        with pytest.raises(DataError, match=r"e\.txt:2: non-finite"):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
+    def test_non_numeric_value_names_line(self, tmp_path):
+        vocab = Vocab.build([["apple"]])
+        path = write(tmp_path, "e.txt", "apple 1 two 3\n")
+        with pytest.raises(DataError, match=r"e\.txt:1: non-numeric"):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
     def test_embeddings_are_frozen(self):
         vocab = Vocab.build([["a"]])
         matrix, _ = load_embeddings(None, vocab, dim=2, seed=0)
@@ -257,6 +272,47 @@ class TestCheckpoints:
         assert loaded.embeddings.data.dtype == np.float64
         ids = model.vocab.encode(["beta", "delta"])
         assert np.array_equal(loaded.forward_doc(ids)[0].probs, model.forward_doc(ids)[0].probs)
+
+    def test_unknown_config_key_names_checkpoint_and_key(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        header = read_checkpoint_header(path)
+        header["config"]["attention_heads"] = 4
+        rewrite_checkpoint_header(path, header)
+        with pytest.raises(DataError, match=r"model\.ckpt.*'attention_heads'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("encoder", "transformer"), ("dropout", 1.5), ("hidden_dim", "wide"),
+    ])
+    def test_invalid_stored_config_names_checkpoint(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        header = read_checkpoint_header(path)
+        header["config"][key] = value
+        rewrite_checkpoint_header(path, header)
+        with pytest.raises(DataError, match=r"model\.ckpt: invalid stored config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["encoder", "memory_update", "max_order"])
+    def test_missing_config_key_rejected(self, tmp_path, key):
+        # A key with a default must not load silently as that default.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        header = read_checkpoint_header(path)
+        del header["config"][key]
+        rewrite_checkpoint_header(path, header)
+        with pytest.raises(DataError, match=f"missing config key '{key}'"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_json_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[12] = ord("[")  # the header's opening brace
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="not valid JSON"):
+            read_checkpoint_header(path)
 
     def test_unknown_dtype_rejected(self, tmp_path):
         model = tiny_model()

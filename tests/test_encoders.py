@@ -4,7 +4,6 @@ import pytest
 from multigram import autodiff as ad
 from multigram.autodiff import ParamStore, Tape, Tensor, check_gradients
 from multigram.encoders import (
-    NodeState,
     TreeLstmParams,
     bilstm_encode,
     bilstm_encode_batch,
@@ -13,13 +12,10 @@ from multigram.encoders import (
     cnn_encoder_macs,
     encode_bi_forest,
     encode_dag,
-    encode_dag_reference,
     forest_encoder_macs,
     pyramid_encoder_macs,
     init_bilstm_params,
     tree_encoder_macs,
-    tree_lstm_cell,
-    zero_state,
 )
 from multigram.structures import build_structure, random_bracketing
 
@@ -29,6 +25,7 @@ from conftest import (
     fresh_tree_params,
     random_embeddings,
 )
+from reference import NodeState, encode_dag_reference, tree_lstm_cell, zero_state
 
 
 def zero_tree_params(embed_dim, hidden_dim):

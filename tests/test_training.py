@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multigram.autodiff import NumericError, ParamStore, Tensor
+from multigram.autodiff import NumericError, ParamStore, Tape, Tensor
 from multigram.data import Corpus
 from multigram.errors import DataError
 from multigram.model import TextClassifier
@@ -10,11 +10,12 @@ from multigram.training import (
     DataBundle,
     EncodedDocs,
     TrainConfig,
-    _doc_gradients,
-    _per_doc_batch,
+    _KEY_DOC_DROPOUT,
+    _train_batch,
     bench_tsv,
     benchmark,
     bucket_batches,
+    derive_rng,
     evaluate,
     prepare_bundle,
     train,
@@ -137,15 +138,6 @@ class TestTrainLoop:
         for name, value in first.model.store.state_dict().items():
             assert np.array_equal(value, second.model.store.state_dict()[name])
 
-    def test_thread_modes_are_bit_identical(self):
-        corpus = toy_corpus()
-        bundle = prepare_bundle(corpus, None, embed_dim=12, seed=1)
-        solo = train(small_config(threads=1), bundle)
-        pooled = train(small_config(threads=3), bundle)
-        assert history_signature(solo) == history_signature(pooled)
-        for name, value in solo.model.store.state_dict().items():
-            assert np.array_equal(value, pooled.model.store.state_dict()[name])
-
     def test_bundle_trains_in_float32(self):
         bundle = prepare_bundle(toy_corpus(), None, embed_dim=12, seed=1)
         assert bundle.embeddings.data.dtype == np.float32
@@ -208,25 +200,42 @@ class TestTrainLoop:
 
 class TestGradientBatchingConsistency:
     def test_doc_gradient_independent_of_batch_composition(self):
+        # The batch gradient is the batch-order sum of each document's own
+        # gradient of loss / batch size, computed here one document at a
+        # time.  Each document's dropout mask is keyed by (seed, epoch,
+        # document index) alone, so the batch index plays no part.
         corpus = toy_corpus(per_class=10)
         bundle = prepare_bundle(corpus, None, embed_dim=12, seed=1)
         config = small_config()
+        assert config.dropout > 0
         model = TextClassifier(
             config.model_config(bundle.num_classes),
             bundle.vocab, bundle.label_names, bundle.embeddings, init_seed=0,
         )
+        docs = bundle.train
         batch = np.array([0, 3, 7, 12])
+        epoch = 1
         model.store.zero_grad()
-        _per_doc_batch(model, bundle.train, batch, epoch=0, config=config, pool=None)
+        loss_sum, correct = _train_batch(model, docs, batch, epoch, 5, config)
         batched = {name: t.grad.copy() for name, t in model.store.items()}
 
-        model.store.zero_grad()
+        reference = {name: np.zeros_like(t.data) for name, t in model.store.items()}
+        ref_loss, ref_correct = 0.0, 0
         for idx in batch:
-            grads, _, _ = _doc_gradients(model, bundle.train, idx, 0, config.seed, 1 / 4)
-            for tensor, grad in grads.items():
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
-        for name, tensor in model.store.items():
-            assert np.array_equal(batched[name], tensor.grad), name
+            model.store.zero_grad()
+            rng = derive_rng(config.seed, _KEY_DOC_DROPOUT, epoch, int(idx))
+            with Tape() as tape:
+                output, loss = model.forward_doc(
+                    docs.ids[idx], gold=int(docs.labels[idx]), train=True, rng=rng
+                )
+                tape.backward(loss, seed=1 / len(batch))
+            ref_loss += float(loss.data)
+            ref_correct += int(output.predicted == docs.labels[idx])
+            for name, tensor in model.store.items():
+                reference[name] += tensor.grad
+        assert (loss_sum, correct) == (ref_loss, ref_correct)
+        for name in batched:
+            assert np.array_equal(batched[name], reference[name]), name
 
 
 class TestEvaluate:
