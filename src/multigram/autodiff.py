@@ -430,46 +430,38 @@ def conv_ngram(x: Tensor, w: Tensor, bias: Tensor, order: int) -> Tensor:
     return _result(out, (x, w, bias), build)
 
 
-# Tree-LSTM gate layout.  A node with children carries five gate blocks of
-# width d: input, forget-left, forget-right, output, candidate.  A leaf has no
-# children to forget, so it carries only the three live blocks, input, output,
-# candidate, in the same relative order.  Either way the candidate is the last
-# block and every block before it is a sigmoid gate.
-GATE_COUNT = 5
-LEAF_GATE_COUNT = 3
+def gate_count(memories: int) -> int:
+    """Gate blocks of an LSTM cell with ``memories`` memory inputs: three
+    live gates and one forget gate per memory input."""
+    return 3 + memories
 
 
-def leaf_gate_rows(hidden_dim: int) -> np.ndarray:
-    """Rows of a five-gate weight block that feed the three leaf gates."""
-    d = hidden_dim
-    return np.r_[0:d, 3 * d : 5 * d]
+def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """Fused LSTM cell for a batch of rows with k = len(mems) memory inputs:
+    Tai et al.'s N-ary tree-LSTM (arXiv 1503.00075), with k = 0 at tree
+    leaves, 1 for a chain-LSTM step and 2 at binary tree nodes.
 
+    ``pre`` holds the stacked gate pre-activations, (rows, (3 + k)d), in the
+    block order input, output, candidate, forget_1 .. forget_k; the live
+    gates lead, so a cell with fewer memory inputs runs on a leading row
+    slice of the same weights.  ``mems`` are the (rows, d) memory inputs: a
+    tree node's children's hidden or memory vectors, a chain step's
+    previous memory, nothing at a leaf.  Computes
 
-def tree_cell_gates(
-    pre: Tensor, left_mem: Optional[Tensor], right_mem: Optional[Tensor]
-) -> tuple[Tensor, Tensor]:
-    """Fused gate application for a batch of tree-LSTM nodes.
-
-    ``pre`` holds the stacked gate pre-activations: (rows, 5d) for nodes
-    with children, (rows, 3d) for leaves (both memory inputs None).  The
-    memory inputs are the children's contribution to the memory sum (their
-    hidden or memory vectors, or None for absent children).  Computes
-
-        i, f_l, f_r, o = sigmoid(pre gates), u = tanh(pre gate)
-        c = i*u + f_l*left_mem + f_r*right_mem
+        i, o, f_j = sigmoid(pre gates), u = tanh(candidate pre-activation)
+        c = i*u + f_1*mems[1] + ... + f_k*mems[k]
         h = o * tanh(c)
 
     in one tape record; identical results to composing the elementwise
     primitives, with far less dispatch overhead on the training hot path.
     """
     rows, width = pre.shape
-    has_children = left_mem is not None or right_mem is not None
-    gates = GATE_COUNT if has_children else LEAF_GATE_COUNT
+    gates = gate_count(len(mems))
     if width % gates != 0:
         raise ShapeError(f"gate block width {width} is not a multiple of {gates}")
     d = width // gates
-    for mem in (left_mem, right_mem):
-        if mem is not None and mem.shape != (rows, d):
+    for mem in mems:
+        if mem.shape != (rows, d):
             raise ShapeError(f"memory input shape {mem.shape} vs ({rows}, {d})")
     p = pre.data
     # The sigmoids are 0.5*(1 + tanh(0.5*x)), which stays finite for any x.
@@ -480,26 +472,21 @@ def tree_cell_gates(
     np.tanh(activated, out=activated)
     activated += 1.0
     activated *= 0.5
-    cand = activated[:, -d:]
-    np.tanh(p[:, -d:], out=cand)
+    cand = activated[:, 2 * d : 3 * d]
+    np.tanh(p[:, 2 * d : 3 * d], out=cand)
     gate_i = activated[:, :d]
-    gate_o = activated[:, -2 * d : -d]
-    gate_fl = activated[:, d : 2 * d] if has_children else None
-    gate_fr = activated[:, 2 * d : 3 * d] if has_children else None
-    left_data = None if left_mem is None else left_mem.data
-    right_data = None if right_mem is None else right_mem.data
+    gate_o = activated[:, d : 2 * d]
+    forgets = [activated[:, (3 + j) * d : (4 + j) * d] for j in range(len(mems))]
     c_data = gate_i * cand
-    if has_children:
-        term = np.empty_like(c_data)
-        for gate, mem in ((gate_fl, left_data), (gate_fr, right_data)):
-            if mem is not None:
-                np.multiply(gate, mem, out=term)
-                c_data += term
+    term = np.empty_like(c_data)
+    for gate, mem in zip(forgets, mems):
+        np.multiply(gate, mem.data, out=term)
+        c_data += term
     tanh_c = np.tanh(c_data)
     h_data = gate_o * tanh_c
 
     tape = _tape()
-    inputs = tuple(t for t in (pre, left_mem, right_mem) if t is not None)
+    inputs = (pre, *mems)
     needs = tape is not None and any(t.requires_grad for t in inputs)
     h = Tensor(h_data, requires_grad=needs)
     c = Tensor(c_data, requires_grad=needs)
@@ -522,28 +509,23 @@ def tree_cell_gates(
         # candidate.
         gpre = np.empty_like(p)
         np.multiply(total, cand, out=gpre[:, :d])
-        if has_children:
-            for block, mem in ((gpre[:, d : 2 * d], left_data), (gpre[:, 2 * d : 3 * d], right_data)):
-                if mem is None:
-                    block.fill(0.0)
-                else:
-                    np.multiply(total, mem, out=block)
         if gh is None:
-            gpre[:, -2 * d : -d] = 0.0
+            gpre[:, d : 2 * d] = 0.0
         else:
-            np.multiply(gh, tanh_c, out=gpre[:, -2 * d : -d])
-        np.multiply(total, gate_i, out=gpre[:, -d:])
+            np.multiply(gh, tanh_c, out=gpre[:, d : 2 * d])
+        np.multiply(total, gate_i, out=gpre[:, 2 * d : 3 * d])
+        for j, mem in enumerate(mems):
+            np.multiply(total, mem.data, out=gpre[:, (3 + j) * d : (4 + j) * d])
         slope = np.subtract(1.0, activated)
         slope *= activated
-        cand_slope = slope[:, -d:]
+        cand_slope = slope[:, 2 * d : 3 * d]
         np.multiply(cand, cand, out=cand_slope)
         np.subtract(1.0, cand_slope, out=cand_slope)
         gpre *= slope
-        grads = [gpre if pre.requires_grad else None]
-        for gate, mem in ((gate_fl, left_mem), (gate_fr, right_mem)):
-            if mem is not None:
-                grads.append(total * gate if mem.requires_grad else None)
-        return tuple(grads)
+        return (
+            gpre if pre.requires_grad else None,
+            *(total * gate if mem.requires_grad else None for gate, mem in zip(forgets, mems)),
+        )
 
     tape._record((h, c), inputs, pull)
     return h, c
@@ -631,8 +613,9 @@ def split_last(x: Tensor, parts: int) -> list[Tensor]:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError("slice_rows expects a matrix")
+    """Rows [start, stop) of a matrix, or entries of a vector, as a view."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError("slice_rows expects a vector or matrix")
     if not (0 <= start <= stop <= x.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.shape}")
     shape = x.shape
@@ -661,13 +644,11 @@ def pick_row(x: Tensor, index: int) -> Tensor:
 
 
 def row_lookup(table: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix (or entries of a vector): out[i] =
-    table[indices[i]].  The usual embedding lookup, also the child-state
-    gather for tree structures and the leaf-gate gather of the tree-LSTM
-    weights."""
+    """Gather rows of a matrix: out[i] = table[indices[i]].  The usual
+    embedding lookup, also the child-state gather for tree structures."""
     idx = np.asarray(indices, dtype=np.intp)
-    if table.data.ndim not in (1, 2) or idx.ndim != 1:
-        raise ShapeError("row_lookup expects a vector or matrix and a 1-d index array")
+    if table.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError("row_lookup expects a matrix and a 1-d index array")
     table_data = table.data
     shape = table.shape
 

@@ -25,7 +25,7 @@ from .data import (
 )
 from .errors import DataError, UsageError
 from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_highlights
-from .structures import BracketingError, build_structure, structure_records
+from .structures import build_structure, structure_records
 from .synthetic import make_planted_corpus
 from .training import (
     TrainConfig,
@@ -63,11 +63,33 @@ def read_config_file(path) -> dict[str, str]:
 
 def _coerce(key: str, value: str):
     kind = _CONFIG_FIELDS[key]
-    if kind in (int, "int"):
-        return int(value)
-    if kind in (float, "float"):
-        return float(value)
+    try:
+        if kind in (int, "int"):
+            return int(value)
+        if kind in (float, "float"):
+            return float(value)
+    except ValueError:
+        raise UsageError(f"config key {key!r} needs a number, got {value!r}") from None
     return value
+
+
+def _checked(config: TrainConfig) -> TrainConfig:
+    """``config`` if its settings are valid, else a usage error.  Two classes,
+    the fewest a model takes, stand in for the corpus's unknown count."""
+    try:
+        config.validate()
+        config.model_config(num_classes=2).validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return config
+
+
+def _positive_ints(flag: str, text: str) -> list[int]:
+    """The comma-separated positive integers of ``flag``."""
+    values = [v.strip() for v in text.split(",") if v.strip()]
+    if not all(v.isdecimal() and int(v) > 0 for v in values):
+        raise UsageError(f"{flag} needs comma-separated positive integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def resolve_train_config(args) -> TrainConfig:
@@ -87,9 +109,7 @@ def resolve_train_config(args) -> TrainConfig:
         for key in _CONFIG_FIELDS
         if getattr(args, key, None) is not None
     }
-    config = replace(config, **overrides)
-    config.validate()
-    return config
+    return _checked(replace(config, **overrides))
 
 
 def echo_config(command: str, config: TrainConfig | None, args, extra: dict | None = None) -> None:
@@ -277,6 +297,7 @@ def cmd_fidelity(args) -> int:
     from .training import DataBundle, EncodedDocs
 
     config = resolve_train_config(args)
+    n_values = _positive_ints("--n-values", args.n_values)
     model = load_checkpoint(args.checkpoint)
     echo_config("fidelity", config, args, extra={"n_values": args.n_values})
     corpus = load_corpus(args.corpus, label_names=model.label_names)
@@ -291,8 +312,7 @@ def cmd_fidelity(args) -> int:
         dev=EncodedDocs.from_corpus(dev_c, model.vocab),
         test=EncodedDocs.from_corpus(test_c, model.vocab),
     )
-    n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
-    probe = replace(config, encoder="bilstm", embed_dim=model.config.embed_dim)
+    probe = _checked(replace(config, encoder="bilstm", embed_dim=model.config.embed_dim))
     rows = fidelity_harness(model, bundle, n_values, seed=config.seed, probe_config=probe)
     text = fidelity_tsv(rows)
     if args.output:
@@ -303,12 +323,13 @@ def cmd_fidelity(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = resolve_train_config(args)
+    encoders = [_checked(replace(config, encoder=e.strip())).encoder
+                for e in args.encoders.split(",") if e.strip()]
+    orders = _positive_ints("--orders", args.orders)
     echo_config("ablate", config, args,
                 extra={"encoders": args.encoders, "orders": args.orders})
     corpus = load_corpus(args.corpus)
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
-    encoders = [e.strip() for e in args.encoders.split(",") if e.strip()]
-    orders = [int(k) for k in args.orders.split(",") if k.strip()]
     lines = ["encoder\tK\tdev_acc"]
     for encoder in encoders:
         if encoder == "bilstm":
@@ -328,18 +349,22 @@ def cmd_ablate(args) -> int:
 
 def cmd_bench(args) -> int:
     config = resolve_train_config(args)
+    encoders = [_checked(replace(config, encoder=e.strip())).encoder
+                for e in args.encoders.split(",") if e.strip()]
     echo_config("bench", config, args,
                 extra={"encoders": args.encoders, "docs": args.docs, "doc_len": args.doc_len})
     if args.corpus:
         corpus = load_corpus(args.corpus)
     else:
-        corpus = make_planted_corpus(
-            num_docs=args.docs,
-            length_range=(args.doc_len, args.doc_len),
-            seed=config.seed,
-        ).corpus
+        try:
+            corpus = make_planted_corpus(
+                num_docs=args.docs,
+                length_range=(args.doc_len, args.doc_len),
+                seed=config.seed,
+            ).corpus
+        except ValueError as exc:
+            raise UsageError(f"--doc-len: {exc}") from None
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
-    encoders = [e.strip() for e in args.encoders.split(",") if e.strip()]
     rows = benchmark(config, bundle, encoders)
     text = bench_tsv(rows)
     if args.output:
@@ -355,6 +380,8 @@ def cmd_dump_structure(args) -> int:
         tokens = [f"w{i}" for i in range(args.length)]
     else:
         raise UsageError("dump-structure needs --tokens or --length")
+    if not tokens or args.max_order < 1:
+        raise UsageError("dump-structure needs at least one token and --max-order of at least 1")
     dag = build_structure(args.kind, tokens, args.max_order, parse=args.parse)
     text = "\n".join(structure_records(dag)) + "\n"
     if args.output:
@@ -381,15 +408,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, BracketingError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

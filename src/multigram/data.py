@@ -9,7 +9,8 @@ File formats owned here:
   header (config, label names, vocab, tensor index, dtype), then raw
   little-endian row-major blobs in the header's dtype (``float32`` or
   ``float64``; a header without the field is float64): embedding matrix
-  first, parameters after, in header order.
+  first, parameters after, in header order.  Version 2 has the gate order
+  of ``autodiff.tree_cell_gates``; version 1 files had another and are refused.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import DataError
 from .model import ModelConfig, TextClassifier
 
 CHECKPOINT_MAGIC = b"MGNC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _BLOB_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 OOV_TOKEN = "<oov>"
@@ -260,7 +261,7 @@ def save_checkpoint(model: TextClassifier, path, extra: Optional[dict] = None) -
 def _read_exact(handle, count: int, what: str) -> bytes:
     blob = handle.read(count)
     if len(blob) != count:
-        raise DataError(f"truncated checkpoint while reading {what}")
+        raise DataError(f"{handle.name}: truncated checkpoint while reading {what}")
     return blob
 
 
@@ -275,7 +276,8 @@ def read_checkpoint_header(path) -> dict:
         (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise DataError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+                f"{path}: checkpoint version {version} unsupported (expected "
+                f"{CHECKPOINT_VERSION}; version 1 holds an older gate layout)"
             )
         (header_len,) = struct.unpack("<I", _read_exact(handle, 4, "header length"))
         blob = _read_exact(handle, header_len, "header")
@@ -312,43 +314,50 @@ def load_checkpoint(path, require: Optional[dict] = None) -> TextClassifier:
     path = Path(path)
     header = read_checkpoint_header(path)
     config = _stored_config(path, header)
+    for key in ("vocab", "label_names", "embedding_shape", "tensors"):
+        if key not in header:
+            raise DataError(f"{path}: checkpoint header has no {key!r}")
     if require:
         for key, wanted in require.items():
             stored = getattr(config, key)
             if stored != wanted:
                 raise DataError(
-                    f"checkpoint was written with {key}={stored!r}; refusing to load "
-                    f"it as {key}={wanted!r}"
+                    f"{path}: checkpoint was written with {key}={stored!r}; refusing to "
+                    f"load it as {key}={wanted!r}"
                 )
     # Headers written before the field existed hold float64 blobs.
     dtype = header.get("dtype", "float64")
     if not isinstance(dtype, str) or dtype not in _BLOB_DTYPES:
-        raise DataError(f"checkpoint dtype {dtype!r} unsupported (expected one of "
+        raise DataError(f"{path}: checkpoint dtype {dtype!r} unsupported (expected one of "
                         f"{sorted(_BLOB_DTYPES)})")
     blob_dtype = _BLOB_DTYPES[dtype]
     width = blob_dtype.itemsize
-    with path.open("rb") as handle:
-        _read_exact(handle, 4, "magic")
-        _read_exact(handle, 4, "version")
-        (header_len,) = struct.unpack("<I", _read_exact(handle, 4, "header length"))
-        _read_exact(handle, header_len, "header")
-        emb_shape = tuple(header["embedding_shape"])
-        emb_count = int(np.prod(emb_shape))
-        embeddings = np.frombuffer(
-            _read_exact(handle, emb_count * width, "embeddings"), dtype=blob_dtype
-        ).reshape(emb_shape)
-        state: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blob = _read_exact(handle, count * width, f"tensor {entry['name']!r}")
-            state[entry["name"]] = np.frombuffer(blob, dtype=blob_dtype).reshape(shape)
-        if handle.read(1):
-            raise DataError("checkpoint has trailing bytes")
-
-    vocab = Vocab(list(header["vocab"]))
-    model = TextClassifier(
-        config, vocab, list(header["label_names"]), Tensor(embeddings.astype(dtype))
-    )
-    model.store.load_state_dict(state)
+    # A mistyped header field fails below as a LookupError, TypeError or ValueError.
+    try:
+        with path.open("rb") as handle:
+            handle.seek(8)  # read_checkpoint_header checked the magic and version
+            (header_len,) = struct.unpack("<I", handle.read(4))
+            handle.seek(header_len, 1)
+            emb_shape = tuple(header["embedding_shape"])
+            emb_count = int(np.prod(emb_shape))
+            embeddings = np.frombuffer(
+                _read_exact(handle, emb_count * width, "embeddings"), dtype=blob_dtype
+            ).reshape(emb_shape)
+            state: dict[str, np.ndarray] = {}
+            for entry in header["tensors"]:
+                shape = tuple(entry["shape"])
+                count = int(np.prod(shape)) if shape else 1
+                blob = _read_exact(handle, count * width, f"tensor {entry['name']!r}")
+                state[entry["name"]] = np.frombuffer(blob, dtype=blob_dtype).reshape(shape)
+            if handle.read(1):
+                raise DataError(f"{path}: checkpoint has trailing bytes")
+        vocab = Vocab(list(header["vocab"]))
+        if len(vocab) != emb_shape[0]:
+            raise ValueError(f"{len(vocab)} vocabulary entries for {emb_shape[0]} embedding rows")
+        model = TextClassifier(
+            config, vocab, list(header["label_names"]), Tensor(embeddings.astype(dtype))
+        )
+        model.store.load_state_dict(state)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from None
     return model

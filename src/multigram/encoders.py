@@ -11,12 +11,12 @@ aligned with a span list, ready for attention pooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GATE_COUNT, LEAF_GATE_COUNT, ParamStore, ShapeError, Tensor, leaf_gate_rows
+from .autodiff import ParamStore, ShapeError, Tensor, gate_count
 from .structures import NgramDag, Span, ngram_dag, ngram_spans
 
 MEMORY_UPDATES = ("hidden", "cell")
@@ -39,12 +39,12 @@ class TreeLstmParams:
     """Shared binary tree-LSTM weights, stored gate-fused.
 
     ``w`` is (5d, e), ``u_left``/``u_right`` are (5d, d) and ``bias`` is
-    (5d,); rows are grouped per gate in the order input, forget-left,
-    forget-right, output, candidate.  Row block g*d:(g+1)*d is the usual
-    per-gate matrix, so the fusion changes the memory layout only.  Leaves
-    have no children and use only the input, output and candidate rows of
-    ``w`` and ``bias``; internal nodes have no label embedding, so the
-    forget rows of ``w`` never receive a gradient.
+    (5d,); rows are grouped per gate in the order input, output, candidate,
+    forget-left, forget-right (``autodiff.tree_cell_gates``).  Row block
+    g*d:(g+1)*d is the usual per-gate matrix, so the fusion changes the
+    memory layout only.  Leaves have no children and use only the leading
+    3d rows of ``w`` and ``bias``; internal nodes have no label embedding,
+    so the forget rows of ``w`` never receive a gradient.
     """
 
     w: Tensor
@@ -54,11 +54,7 @@ class TreeLstmParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.w.shape[0] // GATE_COUNT
-
-    @property
-    def embed_dim(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[0] // gate_count(2)
 
     def tensors(self) -> list[Tensor]:
         return [self.w, self.u_left, self.u_right, self.bias]
@@ -69,25 +65,36 @@ def glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def glorot_gates(rng: np.random.Generator, memories: int, hidden_dim: int, in_dim: int) -> np.ndarray:
+    """Fused gate weights of a cell with ``memories`` memory inputs, drawn
+    with the forget gates second, the order they were once stored in, so a
+    seed keeps giving every gate the same initial weights."""
+    draw = glorot(rng, gate_count(memories) * hidden_dim, in_dim, in_dim, hidden_dim)
+    gate_in, *forgets, gate_out, gate_cand = np.split(draw, gate_count(memories))
+    return np.concatenate([gate_in, gate_out, gate_cand, *forgets])
+
+
 def init_tree_lstm_params(
     store: ParamStore, prefix: str, embed_dim: int, hidden_dim: int, rng: np.random.Generator
 ) -> TreeLstmParams:
     d, e = hidden_dim, embed_dim
     return TreeLstmParams(
-        w=store.add(f"{prefix}.w", glorot(rng, GATE_COUNT * d, e, e, d)),
-        u_left=store.add(f"{prefix}.u_left", glorot(rng, GATE_COUNT * d, d, d, d)),
-        u_right=store.add(f"{prefix}.u_right", glorot(rng, GATE_COUNT * d, d, d, d)),
-        bias=store.add(f"{prefix}.bias", np.zeros(GATE_COUNT * d)),
+        w=store.add(f"{prefix}.w", glorot_gates(rng, 2, d, e)),
+        u_left=store.add(f"{prefix}.u_left", glorot_gates(rng, 2, d, d)),
+        u_right=store.add(f"{prefix}.u_right", glorot_gates(rng, 2, d, d)),
+        bias=store.add(f"{prefix}.bias", np.zeros(gate_count(2) * d)),
     )
 
 
-def _leaf_level(x_rows: Tensor, params: TreeLstmParams) -> tuple[Tensor, Tensor]:
-    """All leaves at once, computing only their three live gates."""
-    rows = leaf_gate_rows(params.hidden_dim)
-    pre = ad.linear_rows(
-        x_rows, ad.row_lookup(params.w, rows), ad.row_lookup(params.bias, rows)
-    )
-    return ad.tree_cell_gates(pre, None, None)
+def _memoryless_cell(
+    x_rows: Tensor, params: TreeLstmParams | LstmDirectionParams
+) -> tuple[Tensor, Tensor]:
+    """Cells with no memory input (tree leaves, a chain's first step): the
+    three live gates only, through the leading rows of ``w`` and ``bias``."""
+    live = gate_count(0) * params.hidden_dim
+    w, bias = ad.slice_rows(params.w, 0, live), ad.slice_rows(params.bias, 0, live)
+    pre = ad.linear_rows(x_rows, w, bias)
+    return ad.tree_cell_gates(pre, ())
 
 
 def _check_alignment(dag: NgramDag, token_embeddings: Tensor) -> None:
@@ -122,7 +129,7 @@ def _encode_ngram(dag, token_embeddings, params, memory_update):
     n = dag.token_count
     depth = len(dag.levels)
     track_c = memory_update == "cell"
-    leaf_h, leaf_c = _leaf_level(token_embeddings, params)
+    leaf_h, leaf_c = _memoryless_cell(token_embeddings, params)
     h_levels, c_levels = [leaf_h], [leaf_c]
     # In the forests one child of every composition is a unigram, so its
     # child-state projection, with the gate bias folded in, can be computed
@@ -172,7 +179,7 @@ def _encode_ngram(dag, token_embeddings, params, memory_update):
                 right_mem = right_h
         else:  # pragma: no cover - guarded upstream
             raise ValueError(f"unsupported structure kind {dag.kind!r}")
-        h, c = ad.tree_cell_gates(pre, left_mem, right_mem)
+        h, c = ad.tree_cell_gates(pre, (left_mem, right_mem))
         h_levels.append(h)
         c_levels.append(c)
     full = h_levels[0] if len(h_levels) == 1 else ad.concat_rows(h_levels)
@@ -181,7 +188,7 @@ def _encode_ngram(dag, token_embeddings, params, memory_update):
 
 def _encode_tree(dag, token_embeddings, params, memory_update):
     track_c = memory_update == "cell"
-    h_all, c_all = _leaf_level(token_embeddings, params)
+    h_all, c_all = _memoryless_cell(token_embeddings, params)
     for level in dag.levels[1:]:
         left_ids = np.array([dag.nodes[i].children[0] for i in level], dtype=np.intp)
         right_ids = np.array([dag.nodes[i].children[1] for i in level], dtype=np.intp)
@@ -196,7 +203,7 @@ def _encode_tree(dag, token_embeddings, params, memory_update):
             right_h, params.u_right, params.bias,
             addend=ad.linear_rows(left_h, params.u_left),
         )
-        h, c = ad.tree_cell_gates(pre, left_mem, right_mem)
+        h, c = ad.tree_cell_gates(pre, (left_mem, right_mem))
         h_all = ad.concat_rows([h_all, h])
         if track_c:
             c_all = ad.concat_rows([c_all, c])
@@ -223,18 +230,19 @@ def encode_bi_forest(
 # BiLSTM baseline (basic units = word positions)
 # ---------------------------------------------------------------------------
 
-LSTM_GATES = 4  # input, forget, output, candidate
-
-
 @dataclass
 class LstmDirectionParams:
-    w: Tensor  # (4*dir, e)
-    u: Tensor  # (4*dir, dir)
-    bias: Tensor  # (4*dir,)
+    """One direction's weights, gate-fused for the cell with one memory
+    input: ``w`` (4*dir, e), ``u`` (4*dir, dir) and ``bias`` (4*dir,), rows
+    in the gate order input, output, candidate, forget."""
+
+    w: Tensor
+    u: Tensor
+    bias: Tensor
 
     @property
     def hidden_dim(self) -> int:
-        return self.w.shape[0] // LSTM_GATES
+        return self.w.shape[0] // gate_count(1)
 
 
 @dataclass
@@ -258,9 +266,9 @@ def init_bilstm_params(
 
     def one(side: str) -> LstmDirectionParams:
         return LstmDirectionParams(
-            w=store.add(f"{prefix}.{side}.w", glorot(rng, LSTM_GATES * direction, embed_dim, embed_dim, direction)),
-            u=store.add(f"{prefix}.{side}.u", glorot(rng, LSTM_GATES * direction, direction, direction, direction)),
-            bias=store.add(f"{prefix}.{side}.bias", np.zeros(LSTM_GATES * direction)),
+            w=store.add(f"{prefix}.{side}.w", glorot_gates(rng, 1, direction, embed_dim)),
+            u=store.add(f"{prefix}.{side}.u", glorot_gates(rng, 1, direction, direction)),
+            bias=store.add(f"{prefix}.{side}.bias", np.zeros(gate_count(1) * direction)),
         )
 
     return BiLstmParams(one("fwd"), one("bwd"))
@@ -270,33 +278,20 @@ def _lstm_direction(
     x_stacked: Tensor, batch: int, length: int, params: LstmDirectionParams, reverse: bool
 ) -> Tensor:
     """Run one direction over a (batch*length, e) doc-major block; returns
-    hidden states doc-major, (batch*length, dir)."""
-    steps = range(length - 1, -1, -1) if reverse else range(length)
-    h: Optional[Tensor] = None
-    c: Optional[Tensor] = None
-    outputs: list[Tensor] = []
-    doc_starts = np.arange(batch, dtype=np.intp) * length
-    for t in steps:
-        x_t = ad.row_lookup(x_stacked, doc_starts + t)
-        pre = ad.linear_rows(x_t, params.w, params.bias)
-        if h is not None:
-            pre = ad.add(pre, ad.linear_rows(h, params.u))
-        gate_in, gate_f, gate_out, gate_cand = ad.split_last(pre, LSTM_GATES)
-        new_c = ad.mul(ad.sigmoid(gate_in), ad.tanh(gate_cand))
-        if c is not None:
-            new_c = ad.add(new_c, ad.mul(ad.sigmoid(gate_f), c))
-        c = new_c
-        h = ad.mul(ad.sigmoid(gate_out), ad.tanh(c))
+    hidden states doc-major, (batch*length, dir).  Rows are gathered
+    step-major in processing order, and the input maps of all steps after
+    the first run as one product ahead of the recurrence."""
+    steps = np.arange(length - 1, -1, -1) if reverse else np.arange(length)
+    order = (steps[:, None] + np.arange(batch) * length).ravel()
+    x_steps = ad.row_lookup(x_stacked, order)
+    h, c = _memoryless_cell(ad.slice_rows(x_steps, 0, batch), params)
+    outputs = [h]
+    x_maps = ad.linear_rows(ad.slice_rows(x_steps, batch, batch * length), params.w, params.bias)
+    for j in range(1, length):
+        step_map = ad.slice_rows(x_maps, (j - 1) * batch, j * batch)
+        h, c = ad.tree_cell_gates(ad.linear_rows(h, params.u, addend=step_map), (c,))
         outputs.append(h)
-    step_major = outputs[0] if length == 1 else ad.concat_rows(outputs)
-    if batch == 1 and not reverse:
-        return step_major
-    # Rearrange (step, doc) rows into doc-major (doc, step) order.
-    step_index = np.empty(length, dtype=np.intp)
-    for j, t in enumerate(steps):
-        step_index[t] = j
-    perm = np.tile(step_index, batch) * batch + np.repeat(np.arange(batch), length)
-    return ad.row_lookup(step_major, perm)
+    return ad.row_lookup(ad.concat_rows(outputs), np.argsort(order))
 
 
 def bilstm_encode_batch(
@@ -371,12 +366,6 @@ def cnn_encode(token_embeddings: Tensor, params: CnnParams) -> EncoderOutput:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
-    """Leaves cost the input maps of their three live gates only: with no
-    children, the two forget gates would multiply nothing."""
-    return n * LEAF_GATE_COUNT * embed_dim * hidden_dim
-
-
 def forest_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
     """Forward MACs for leftforest/rightforest.
 
@@ -385,28 +374,28 @@ def forest_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int)
     (n rows) and sliced per level; only the other child pays per node.
     """
     depth = min(max_order, n)
-    leaf = _leaf_macs(n, embed_dim, hidden_dim)
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
     if depth < 2:
         return leaf
-    shared_unigram = n * GATE_COUNT * hidden_dim * hidden_dim
+    shared_unigram = n * gate_count(2) * hidden_dim * hidden_dim
     internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
-    return leaf + shared_unigram + internal_nodes * GATE_COUNT * hidden_dim * hidden_dim
+    return leaf + shared_unigram + internal_nodes * gate_count(2) * hidden_dim * hidden_dim
 
 
 def pyramid_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
     """Three-gate leaves; the pyramid shares no per-level operand, so both
     children of every internal node pay the five state maps."""
     depth = min(max_order, n)
-    leaf = _leaf_macs(n, embed_dim, hidden_dim)
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
     internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
-    return leaf + internal_nodes * 2 * GATE_COUNT * hidden_dim * hidden_dim
+    return leaf + internal_nodes * 2 * gate_count(2) * hidden_dim * hidden_dim
 
 
 def tree_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
     """Three-gate leaves plus both children's five state maps per internal
     node."""
-    leaf = _leaf_macs(n, embed_dim, hidden_dim)
-    return leaf + (n - 1) * 2 * GATE_COUNT * hidden_dim * hidden_dim
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
+    return leaf + (n - 1) * 2 * gate_count(2) * hidden_dim * hidden_dim
 
 
 def cnn_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
@@ -416,7 +405,9 @@ def cnn_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) ->
 
 
 def bilstm_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
+    """Per direction: the first step maps its input to the three live gates;
+    every later step maps input and previous hidden state to all four."""
     direction = hidden_dim // 2
-    per_direction = n * LSTM_GATES * direction * embed_dim
-    recurrent = (n - 1) * LSTM_GATES * direction * direction
-    return 2 * (per_direction + recurrent)
+    inputs = (gate_count(0) + (n - 1) * gate_count(1)) * direction * embed_dim
+    recurrent = (n - 1) * gate_count(1) * direction * direction
+    return 2 * (inputs + recurrent)

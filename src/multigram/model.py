@@ -23,7 +23,7 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import NgramDag, build_structure, bracketing_leaves, ngram_dag, parse_bracketing
+from .structures import build_structure, ngram_dag
 
 ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
 FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -119,17 +119,6 @@ class TextClassifier:
 
     # -- structure plumbing -------------------------------------------------
 
-    def _tree_dag(self, parse: Optional[str], n: int) -> NgramDag:
-        if parse is None:
-            raise DataError("the tree encoder needs a bracketed parse for every document")
-        leaves = bracketing_leaves(parse_bracketing(parse))
-        dag = build_structure("tree", leaves, self.config.max_order, parse)
-        if dag.token_count != n:
-            raise DataError(
-                f"parse has {dag.token_count} leaves but the document has {n} tokens"
-            )
-        return dag
-
     def _encode(self, x: Tensor, parse: Optional[str]) -> enc.EncoderOutput:
         kind = self.config.encoder
         n = x.shape[0]
@@ -138,7 +127,8 @@ class TextClassifier:
             dag = ngram_dag(kind, n, self.config.max_order)
             return enc.encode_dag(dag, x, self.tree_params, mu)
         if kind == "tree":
-            return enc.encode_dag(self._tree_dag(parse, n), x, self.tree_params, mu)
+            dag = build_structure("tree", n, self.config.max_order, parse)
+            return enc.encode_dag(dag, x, self.tree_params, mu)
         if kind == "biforest":
             return enc.encode_bi_forest(
                 x, self.left_params, self.right_params, self.config.max_order, mu

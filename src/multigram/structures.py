@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence
 
+from .errors import DataError
+
 STRUCTURE_KINDS = ("tree", "pyramid", "leftforest", "rightforest")
 
 
-class BracketingError(ValueError):
+class BracketingError(DataError):
     """Raised for malformed or misaligned bracketed-tree input."""
 
 

@@ -1,9 +1,12 @@
-"""Node-at-a-time tree-LSTM oracle for the vectorized encoders.
+"""Node-at-a-time and step-at-a-time oracles for the vectorized encoders.
 
-``tree_lstm_cell`` evaluates one gated binary composition with the vector
-primitives, and ``encode_dag_reference`` applies it once per structure node.
-Slow but obviously faithful to the cell semantics; the encoder tests compare
-``encoders.encode_dag`` against it.
+``composed_cell`` is the LSTM cell of ``autodiff.tree_cell_gates`` built
+from the elementwise primitives.  ``tree_lstm_cell`` evaluates one gated
+binary composition with it, and ``encode_dag_reference`` applies that once
+per structure node; ``bilstm_reference`` runs one document's chain LSTM one
+position at a time in each direction.  Slow but obviously faithful to the
+cell semantics; the encoder tests compare ``encoders.encode_dag`` and
+``encoders.bilstm_encode_batch`` against them.
 """
 from __future__ import annotations
 
@@ -13,8 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from multigram import autodiff as ad
-from multigram.autodiff import GATE_COUNT, Tensor
-from multigram.encoders import MEMORY_UPDATES, EncoderOutput, TreeLstmParams, _check_alignment
+from multigram.autodiff import Tensor, gate_count
+from multigram.encoders import (
+    MEMORY_UPDATES,
+    BiLstmParams,
+    EncoderOutput,
+    TreeLstmParams,
+    _check_alignment,
+)
 from multigram.structures import NgramDag
 
 
@@ -28,6 +37,20 @@ class NodeState:
 
 def zero_state(hidden_dim: int) -> NodeState:
     return NodeState(Tensor(np.zeros(hidden_dim)), Tensor(np.zeros(hidden_dim)))
+
+
+def composed_cell(pre: Tensor, mems: Sequence[Optional[Tensor]]) -> NodeState:
+    """The cell of ``autodiff.tree_cell_gates`` on one gate pre-activation
+    vector, blocks input, output, candidate, then one forget gate per memory
+    input; a None memory input is a structurally zero term and is skipped,
+    which is exact."""
+    gate_in, gate_out, gate_cand, *forgets = ad.split_last(pre, gate_count(len(mems)))
+    c = ad.mul(ad.sigmoid(gate_in), ad.tanh(gate_cand))
+    for gate, mem in zip(forgets, mems):
+        if mem is not None:
+            c = ad.add(c, ad.mul(ad.sigmoid(gate), mem))
+    h = ad.mul(ad.sigmoid(gate_out), ad.tanh(c))
+    return NodeState(h, c)
 
 
 def tree_lstm_cell(
@@ -55,16 +78,11 @@ def tree_lstm_cell(
         pre = ad.add(pre, ad.matvec(params.u_left, left.h))
     if right is not None:
         pre = ad.add(pre, ad.matvec(params.u_right, right.h))
-    gate_in, gate_fl, gate_fr, gate_out, gate_cand = ad.split_last(pre, GATE_COUNT)
-    c = ad.mul(ad.sigmoid(gate_in), ad.tanh(gate_cand))
-    if left is not None:
-        source = left.h if memory_update == "hidden" else left.c
-        c = ad.add(c, ad.mul(ad.sigmoid(gate_fl), source))
-    if right is not None:
-        source = right.h if memory_update == "hidden" else right.c
-        c = ad.add(c, ad.mul(ad.sigmoid(gate_fr), source))
-    h = ad.mul(ad.sigmoid(gate_out), ad.tanh(c))
-    return NodeState(h, c)
+    mems = [
+        None if child is None else child.h if memory_update == "hidden" else child.c
+        for child in (left, right)
+    ]
+    return composed_cell(pre, mems)
 
 
 def encode_dag_reference(
@@ -91,3 +109,22 @@ def encode_dag_reference(
             states[node_id] = cell(None, states[left], states[right], params, memory_update)
     h = ad.stack_rows([states[i].h for i in range(len(dag.nodes))])
     return EncoderOutput(h, dag.spans)
+
+
+def bilstm_reference(token_embeddings: Tensor, params: BiLstmParams) -> Tensor:
+    """(n, 2*dir) hidden states of one document: each direction runs one
+    ``composed_cell`` per position with a single memory input, absent at its
+    first position; row t holds the forward then the backward state."""
+    n = token_embeddings.shape[0]
+    halves = []
+    for direction, order in ((params.forward, range(n)), (params.backward, range(n - 1, -1, -1))):
+        state: Optional[NodeState] = None
+        hidden = {}
+        for t in order:
+            pre = ad.add(ad.matvec(direction.w, ad.pick_row(token_embeddings, t)), direction.bias)
+            if state is not None:
+                pre = ad.add(pre, ad.matvec(direction.u, state.h))
+            state = composed_cell(pre, (None if state is None else state.c,))
+            hidden[t] = state.h
+        halves.append(ad.stack_rows([hidden[t] for t in range(n)]))
+    return ad.concat_cols(halves)

@@ -220,6 +220,8 @@ class TestPrimitiveGradients:
     def test_slices_and_lookup(self):
         x = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
         assert_matches_fd(lambda: ad.sum_all(ad.tanh(ad.slice_rows(x, 1, 4))), [x])
+        v = Tensor(RNG.normal(size=5), requires_grad=True)
+        assert_matches_fd(lambda: ad.sum_all(ad.tanh(ad.slice_rows(v, 1, 4))), [v])
         assert_matches_fd(lambda: ad.sum_all(ad.sigmoid(ad.pick_row(x, 2))), [x])
         idx = np.array([0, 2, 2, 4])  # duplicate index exercises scatter-add
         assert_matches_fd(lambda: ad.sum_all(ad.tanh(ad.row_lookup(x, idx))), [x])
@@ -236,55 +238,41 @@ class TestPrimitiveGradients:
             lambda: ad.sum_all(ad.tanh(ad.conv_ngram(x, w, bias, 3))), [x, w, bias]
         )
 
-    @pytest.mark.parametrize("with_left,with_right", [
-        (False, False), (True, False), (True, True),
-    ])
-    def test_tree_cell_gates(self, with_left, with_right):
-        # Five gate blocks of width 3 with children, three at leaves.
-        width = 15 if with_left or with_right else 9
-        pre = Tensor(RNG.normal(size=(4, width)), requires_grad=True)
-        left = Tensor(RNG.normal(size=(4, 3)), requires_grad=True) if with_left else None
-        right = Tensor(RNG.normal(size=(4, 3)), requires_grad=True) if with_right else None
-        watched = [t for t in (pre, left, right) if t is not None]
+    @pytest.mark.parametrize("memories", [0, 1, 2])
+    def test_tree_cell_gates(self, memories):
+        # 3 + k gate blocks of width 3: a leaf, a chain-LSTM step, a binary node.
+        pre = Tensor(RNG.normal(size=(4, 3 * (3 + memories))), requires_grad=True)
+        mems = [Tensor(RNG.normal(size=(4, 3)), requires_grad=True) for _ in range(memories)]
+        watched = [pre, *mems]
 
         def f_h():
-            h, _ = ad.tree_cell_gates(pre, left, right)
+            h, _ = ad.tree_cell_gates(pre, mems)
             return ad.sum_all(h)
 
         def f_both():
-            h, c = ad.tree_cell_gates(pre, left, right)
+            h, c = ad.tree_cell_gates(pre, mems)
             return ad.sum_all(ad.add(h, ad.tanh(c)))
 
         assert_matches_fd(f_h, watched)
         assert_matches_fd(f_both, watched)
 
-    def test_tree_cell_gates_matches_unfused_ops(self):
-        pre = Tensor(RNG.normal(size=(3, 10)))
-        left = Tensor(RNG.normal(size=(3, 2)))
-        right = Tensor(RNG.normal(size=(3, 2)))
-        h, c = ad.tree_cell_gates(pre, left, right)
-        gi, gfl, gfr, go, gu = ad.split_last(pre, 5)
-        c_ref = ad.add(
-            ad.add(ad.mul(ad.sigmoid(gi), ad.tanh(gu)), ad.mul(ad.sigmoid(gfl), left)),
-            ad.mul(ad.sigmoid(gfr), right),
-        )
-        h_ref = ad.mul(ad.sigmoid(go), ad.tanh(c_ref))
-        assert np.array_equal(c.data, c_ref.data)
-        assert np.array_equal(h.data, h_ref.data)
-
-    def test_leaf_gates_match_unfused_ops(self):
-        # Leaves carry input, output and candidate blocks only.
-        pre = Tensor(RNG.normal(size=(3, 6)))
-        h, c = ad.tree_cell_gates(pre, None, None)
-        gi, go, gu = ad.split_last(pre, 3)
+    @pytest.mark.parametrize("memories", [0, 1, 2])
+    def test_tree_cell_gates_matches_unfused_ops(self, memories):
+        # Blocks: input, output, candidate, then one forget gate per memory.
+        pre = Tensor(RNG.normal(size=(3, 2 * (3 + memories))))
+        mems = [Tensor(RNG.normal(size=(3, 2))) for _ in range(memories)]
+        h, c = ad.tree_cell_gates(pre, mems)
+        gi, go, gu, *forgets = ad.split_last(pre, 3 + memories)
         c_ref = ad.mul(ad.sigmoid(gi), ad.tanh(gu))
+        for gf, mem in zip(forgets, mems):
+            c_ref = ad.add(c_ref, ad.mul(ad.sigmoid(gf), mem))
         h_ref = ad.mul(ad.sigmoid(go), ad.tanh(c_ref))
         assert np.array_equal(c.data, c_ref.data)
         assert np.array_equal(h.data, h_ref.data)
 
     def test_tree_cell_gates_rejects_leaf_width_mismatch(self):
         with pytest.raises(ShapeError, match="multiple of 3"):
-            ad.tree_cell_gates(Tensor(np.zeros((2, 10))), None, None)
+            ad.tree_cell_gates(Tensor(np.zeros((2, 10))), ())
 
     def test_segment_ops(self):
         scores = Tensor(RNG.normal(size=7), requires_grad=True)
@@ -425,8 +413,8 @@ def _float32_cases():
         ("linear_rows", lambda: ad.sum_all(ad.linear_rows(x, w, b, addend=t(4, 2))), [x, w, b]),
         ("weighted_sum", lambda: ad.sum_all(ad.weighted_sum(t(4), x)), [x]),
         ("conv_ngram", lambda: ad.sum_all(ad.conv_ngram(x, t(6, 2), b, 2)), [x, b]),
-        ("tree_cell_gates", lambda: ad.sum_all(ad.tree_cell_gates(pre, mem, mem)[0]), [pre, mem]),
-        ("tree_cell_gates_leaf", lambda: ad.sum_all(ad.tree_cell_gates(leaf_pre, None, None)[1]), [leaf_pre]),
+        ("tree_cell_gates", lambda: ad.sum_all(ad.tree_cell_gates(pre, (mem, mem))[0]), [pre, mem]),
+        ("tree_cell_gates_leaf", lambda: ad.sum_all(ad.tree_cell_gates(leaf_pre, ())[1]), [leaf_pre]),
         ("concat", lambda: ad.sum_all(ad.concat([v, b])), [v, b]),
         ("concat_rows", lambda: ad.sum_all(ad.concat_rows([x, x])), [x]),
         ("concat_cols", lambda: ad.sum_all(ad.concat_cols([x, x])), [x]),
@@ -434,7 +422,7 @@ def _float32_cases():
         ("slice_rows", lambda: ad.sum_all(ad.slice_rows(x, 1, 3)), [x]),
         ("pick_row", lambda: ad.sum_all(ad.pick_row(x, 2)), [x]),
         ("row_lookup", lambda: ad.sum_all(ad.row_lookup(x, [0, 2, 2])), [x]),
-        ("row_lookup_vector", lambda: ad.sum_all(ad.row_lookup(v, [2, 0])), [v]),
+        ("slice_rows_vector", lambda: ad.sum_all(ad.slice_rows(v, 1, 3)), [v]),
         ("stack_rows", lambda: ad.sum_all(ad.stack_rows([v, v])), [v]),
         ("softmax", lambda: ad.dot(ad.softmax(v), v), [v]),
         ("softmax_rows", lambda: ad.sum_all(ad.mul(ad.softmax_rows(x), x)), [x]),

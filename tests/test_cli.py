@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -88,6 +89,39 @@ class TestTrain:
     def test_invalid_config_value_is_usage_error(self, corpus_path, capsys):
         assert run(["train", "--corpus", corpus_path, "--dropout", "1.5"]) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["ablate", "--orders", "1,x"], "--orders"),
+        (["ablate", "--orders", "0"], "--orders"),
+        (["ablate", "--encoders", "transformer"], "unknown encoder"),
+        (["bench", "--encoders", "leftforest,transformer"], "unknown encoder"),
+        (["fidelity", "--checkpoint", "unread.ckpt", "--n-values", "2,two"], "--n-values"),
+        (["dump-structure", "--kind", "pyramid", "--length", "3", "--max-order", "0"],
+         "--max-order"),
+    ])
+    def test_bad_option_values_are_usage_errors(self, corpus_path, capsys, args, message):
+        if args[0] != "dump-structure":
+            args = [*args, "--corpus", corpus_path]
+        assert run(args) == 1
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_config_file_value_is_usage_error(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hidden_dim = wide\n")
+        assert run(["train", "--config", cfg, "--corpus", corpus_path]) == 1
+        assert "hidden_dim" in capsys.readouterr().err
+
+    def test_internal_shape_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        from multigram import cli
+        from multigram.autodiff import ShapeError
+
+        def broken(args):
+            raise ShapeError("gate block width 10 is not a multiple of 3")
+
+        monkeypatch.setitem(cli._HANDLERS, "dump-structure", broken)
+        with pytest.raises(ShapeError):
+            run(["dump-structure", "--kind", "pyramid", "--length", "3"])
+        assert "usage error" not in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, corpus_path, tmp_path, capsys):
@@ -169,6 +203,30 @@ class TestEvalExplainBench:
         assert code == 2
         err = capsys.readouterr().err
         assert "broken.ckpt" in err and message in err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("version 1", "checkpoint version 1 unsupported"),
+        ("no vocab", "checkpoint header has no 'vocab'"),
+        ("no tensors", "checkpoint header has no 'tensors'"),
+    ])
+    def test_unloadable_checkpoint_is_a_data_error(self, trained_run, corpus_path, tmp_path,
+                                                   capsys, damage, message):
+        from multigram.data import read_checkpoint_header
+
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(trained_run.read_bytes())
+        if damage == "version 1":
+            raw = bytearray(broken.read_bytes())
+            raw[4:8] = struct.pack("<I", 1)
+            broken.write_bytes(bytes(raw))
+        else:
+            header = read_checkpoint_header(broken)
+            del header[damage.split()[1]]
+            rewrite_checkpoint_header(broken, header)
+        code = run(["eval", "--checkpoint", broken, "--corpus", corpus_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(broken) in err and message in err
 
     def test_checkpoint_is_float32_and_reloads_bit_for_bit(self, trained_run, tmp_path):
         from multigram.data import load_checkpoint, read_checkpoint_header, save_checkpoint

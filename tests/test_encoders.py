@@ -25,7 +25,13 @@ from conftest import (
     fresh_tree_params,
     random_embeddings,
 )
-from reference import NodeState, encode_dag_reference, tree_lstm_cell, zero_state
+from reference import (
+    NodeState,
+    bilstm_reference,
+    encode_dag_reference,
+    tree_lstm_cell,
+    zero_state,
+)
 
 
 def zero_tree_params(embed_dim, hidden_dim):
@@ -264,6 +270,44 @@ class TestBiLstm:
         for b, doc in enumerate(docs):
             solo = bilstm_encode(doc, params).h.data
             np.testing.assert_allclose(batch_h.data[b * 4 : (b + 1) * 4], solo, atol=1e-12)
+
+    def test_batch_matches_step_at_a_time_reference(self):
+        store, params = fresh_bilstm_params(3, 4, seed=13)
+        rng = np.random.default_rng(14)
+        for side in (params.forward, params.backward):
+            side.bias.data = rng.normal(size=side.bias.shape)
+        docs = [random_embeddings(5, 3, seed=s) for s in (15, 16, 17)]
+        stacked = Tensor(np.concatenate([d.data for d in docs]))
+        probe = Tensor(rng.normal(size=(15, 4)))
+
+        def batch_h():
+            return bilstm_encode_batch(stacked, batch=3, length=5, params=params)
+
+        def reference_h():
+            return ad.concat_rows([bilstm_reference(doc, params) for doc in docs])
+
+        grads = []
+        for encode in (batch_h, reference_h):
+            store.zero_grad()
+            with Tape() as tape:
+                h = encode()
+                tape.backward(ad.sum_all(ad.mul(h, probe)))
+            grads.append((h.data, {name: t.grad for name, t in store.items()}))
+        (fast, fast_grads), (slow, slow_grads) = grads
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+        for name, grad in slow_grads.items():
+            np.testing.assert_allclose(fast_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_forward_records_at_most_three_tape_entries_per_step_and_direction(self):
+        _, params = fresh_bilstm_params(3, 4, seed=18)
+
+        def records(length):
+            with Tape() as tape:
+                bilstm_encode_batch(random_embeddings(2 * length, 3), 2, length, params)
+            return len(tape)
+
+        # One more position is one more step in each direction.
+        assert records(7) - records(6) <= 2 * 3
 
     def test_empty_text_rejected(self):
         _, params = fresh_bilstm_params(3, 4)
