@@ -182,19 +182,20 @@ class Tape:
                 tensor.grad += grad
 
 
-def _tape() -> Optional[Tape]:
-    return _TAPES[-1] if _TAPES else None
-
-
-def _result(data: np.ndarray, inputs: Sequence[Tensor], pull_builder) -> Tensor:
-    """Wrap ``data``; record a pull closure when a tape is active and any
-    input participates in differentiation."""
-    tape = _tape()
+def _results(datas: Sequence[np.ndarray], inputs: Sequence[Tensor], pull) -> tuple[Tensor, ...]:
+    """Wrap each array of ``datas``; record ``pull`` for all of them when a
+    tape is active and any input participates in differentiation."""
+    tape = _TAPES[-1] if _TAPES else None
     needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs)
+    outs = tuple(Tensor(data, requires_grad=needs) for data in datas)
     if needs:
-        tape._record((out,), tuple(inputs), pull_builder())
-    return out
+        tape._record(outs, tuple(inputs), pull)
+    return outs
+
+
+def _result(data: np.ndarray, inputs: Sequence[Tensor], pull) -> Tensor:
+    """``_results`` for a primitive with one output."""
+    return _results((data,), inputs, pull)[0]
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -210,73 +211,61 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
-    def build():
-        def pull(g):
-            if a.requires_grad and b.requires_grad:
-                # Distinct arrays: the two gradient sinks must not alias.
-                return (g, g.copy())
-            return (g if a.requires_grad else None, g if b.requires_grad else None)
-        return pull
+    def pull(g):
+        if a.requires_grad and b.requires_grad:
+            # Distinct arrays: the two gradient sinks must not alias.
+            return (g, g.copy())
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
-    return _result(a.data + b.data, (a, b), build)
+    return _result(a.data + b.data, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     a_data, b_data = a.data, b.data
 
-    def build():
-        def pull(g):
-            return (
-                g * b_data if a.requires_grad else None,
-                g * a_data if b.requires_grad else None,
-            )
-        return pull
+    def pull(g):
+        return (
+            g * b_data if a.requires_grad else None,
+            g * a_data if b.requires_grad else None,
+        )
 
-    return _result(a_data * b_data, (a, b), build)
+    return _result(a_data * b_data, (a, b), pull)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    def build():
-        def pull(g):
-            return (g * factor,)
-        return pull
+    def pull(g):
+        return (g * factor,)
 
-    return _result(x.data * factor, (x,), build)
+    return _result(x.data * factor, (x,), pull)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # tanh form stays finite for any input, unlike 1/(1+exp(-x)).
     s = 0.5 * (1.0 + np.tanh(0.5 * x.data))
 
-    def build():
-        def pull(g):
-            return (g * s * (1.0 - s),)
-        return pull
+    def pull(g):
+        return (g * s * (1.0 - s),)
 
-    return _result(s, (x,), build)
+    return _result(s, (x,), pull)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
-    def build():
-        def pull(g):
-            return (g * (1.0 - t * t),)
-        return pull
+    def pull(g):
+        return (g * (1.0 - t * t),)
 
-    return _result(t, (x,), build)
+    return _result(t, (x,), pull)
 
 
 def sum_all(x: Tensor) -> Tensor:
     shape = x.shape
 
-    def build():
-        def pull(g):
-            return (np.full(shape, g, dtype=g.dtype),)
-        return pull
+    def pull(g):
+        return (np.full(shape, g, dtype=g.dtype),)
 
-    return _result(np.asarray(x.data.sum()), (x,), build)
+    return _result(np.asarray(x.data.sum()), (x,), pull)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -285,15 +274,13 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     _add_macs(a.size)
 
-    def build():
-        def pull(g):
-            return (
-                g * b_data if a.requires_grad else None,
-                g * a_data if b.requires_grad else None,
-            )
-        return pull
+    def pull(g):
+        return (
+            g * b_data if a.requires_grad else None,
+            g * a_data if b.requires_grad else None,
+        )
 
-    return _result(np.asarray(a_data @ b_data), (a, b), build)
+    return _result(np.asarray(a_data @ b_data), (a, b), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +294,13 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     w_data, x_data = w.data, x.data
     _add_macs(w.shape[0] * w.shape[1])
 
-    def build():
-        def pull(g):
-            return (
-                np.outer(g, x_data) if w.requires_grad else None,
-                w_data.T @ g if x.requires_grad else None,
-            )
-        return pull
+    def pull(g):
+        return (
+            np.outer(g, x_data) if w.requires_grad else None,
+            w_data.T @ g if x.requires_grad else None,
+        )
 
-    return _result(w_data @ x_data, (w, x), build)
+    return _result(w_data @ x_data, (w, x), pull)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -324,15 +309,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     _add_macs(a.shape[0] * a.shape[1] * b.shape[1])
 
-    def build():
-        def pull(g):
-            return (
-                g @ b_data.T if a.requires_grad else None,
-                a_data.T @ g if b.requires_grad else None,
-            )
-        return pull
+    def pull(g):
+        return (
+            g @ b_data.T if a.requires_grad else None,
+            a_data.T @ g if b.requires_grad else None,
+        )
 
-    return _result(a_data @ b_data, (a, b), build)
+    return _result(a_data @ b_data, (a, b), pull)
 
 
 def linear_rows(
@@ -360,20 +343,18 @@ def linear_rows(
     _add_macs(x.shape[0] * x.shape[1] * w.shape[0])
     inputs = tuple(t for t in (x, w, bias, addend) if t is not None)
 
-    def build():
-        def pull(g):
-            parts = [
-                g @ w_data if x.requires_grad else None,
-                g.T @ x_data if w.requires_grad else None,
-            ]
-            if bias is not None:
-                parts.append(g.sum(axis=0) if bias.requires_grad else None)
-            if addend is not None:
-                parts.append(g if addend.requires_grad else None)
-            return tuple(parts)
-        return pull
+    def pull(g):
+        parts = [
+            g @ w_data if x.requires_grad else None,
+            g.T @ x_data if w.requires_grad else None,
+        ]
+        if bias is not None:
+            parts.append(g.sum(axis=0) if bias.requires_grad else None)
+        if addend is not None:
+            parts.append(g if addend.requires_grad else None)
+        return tuple(parts)
 
-    return _result(out, inputs, build)
+    return _result(out, inputs, pull)
 
 
 def weighted_sum(alpha: Tensor, rows: Tensor) -> Tensor:
@@ -383,15 +364,13 @@ def weighted_sum(alpha: Tensor, rows: Tensor) -> Tensor:
     alpha_data, rows_data = alpha.data, rows.data
     _add_macs(rows.size)
 
-    def build():
-        def pull(g):
-            return (
-                rows_data @ g if alpha.requires_grad else None,
-                np.outer(alpha_data, g) if rows.requires_grad else None,
-            )
-        return pull
+    def pull(g):
+        return (
+            rows_data @ g if alpha.requires_grad else None,
+            np.outer(alpha_data, g) if rows.requires_grad else None,
+        )
 
-    return _result(alpha_data @ rows_data, (alpha, rows), build)
+    return _result(alpha_data @ rows_data, (alpha, rows), pull)
 
 
 def conv_ngram(x: Tensor, w: Tensor, bias: Tensor, order: int) -> Tensor:
@@ -412,22 +391,20 @@ def conv_ngram(x: Tensor, w: Tensor, bias: Tensor, order: int) -> Tensor:
         out += x_data[offset : offset + m] @ w_data[offset * e : (offset + 1) * e]
     _add_macs(m * order * e * d)
 
-    def build():
-        def pull(g):
-            dx = np.zeros_like(x_data) if x.requires_grad else None
-            # Every filter block is written exactly once, so no zeroing.
-            dw = np.empty_like(w_data) if w.requires_grad else None
-            for offset in range(order):
-                block = w_data[offset * e : (offset + 1) * e]
-                if dx is not None:
-                    dx[offset : offset + m] += g @ block.T
-                if dw is not None:
-                    dw[offset * e : (offset + 1) * e] = x_data[offset : offset + m].T @ g
-            db = g.sum(axis=0) if bias.requires_grad else None
-            return (dx, dw, db)
-        return pull
+    def pull(g):
+        dx = np.zeros_like(x_data) if x.requires_grad else None
+        # Every filter block is written exactly once, so no zeroing.
+        dw = np.empty_like(w_data) if w.requires_grad else None
+        for offset in range(order):
+            block = w_data[offset * e : (offset + 1) * e]
+            if dx is not None:
+                dx[offset : offset + m] += g @ block.T
+            if dw is not None:
+                dw[offset * e : (offset + 1) * e] = x_data[offset : offset + m].T @ g
+        db = g.sum(axis=0) if bias.requires_grad else None
+        return (dx, dw, db)
 
-    return _result(out, (x, w, bias), build)
+    return _result(out, (x, w, bias), pull)
 
 
 def gate_count(memories: int) -> int:
@@ -485,14 +462,6 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
     tanh_c = np.tanh(c_data)
     h_data = gate_o * tanh_c
 
-    tape = _tape()
-    inputs = (pre, *mems)
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    h = Tensor(h_data, requires_grad=needs)
-    c = Tensor(c_data, requires_grad=needs)
-    if not needs:
-        return h, c
-
     def pull(gh, gc):
         # total = d(loss)/dc, through h and directly.
         if gh is None:
@@ -527,8 +496,7 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
             *(total * gate if mem.requires_grad else None for gate, mem in zip(forgets, mems)),
         )
 
-    tape._record((h, c), inputs, pull)
-    return h, c
+    return _results((h_data, c_data), (pre, *mems), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +511,13 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     offsets = np.cumsum([0] + sizes)
     parts = tuple(parts)
 
-    def build():
-        def pull(g):
-            return tuple(
-                g[offsets[i] : offsets[i + 1]] if p.requires_grad else None
-                for i, p in enumerate(parts)
-            )
-        return pull
+    def pull(g):
+        return tuple(
+            g[offsets[i] : offsets[i + 1]] if p.requires_grad else None
+            for i, p in enumerate(parts)
+        )
 
-    return _result(np.concatenate([p.data for p in parts]), parts, build)
+    return _result(np.concatenate([p.data for p in parts]), parts, pull)
 
 
 def _concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -561,20 +527,18 @@ def _concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
     offsets = np.cumsum([0] + sizes)
     parts = tuple(parts)
 
-    def build():
-        def pull(g):
-            outs = []
-            for i, p in enumerate(parts):
-                if not p.requires_grad:
-                    outs.append(None)
-                elif axis == 0:
-                    outs.append(g[offsets[i] : offsets[i + 1], :])
-                else:
-                    outs.append(g[:, offsets[i] : offsets[i + 1]])
-            return tuple(outs)
-        return pull
+    def pull(g):
+        outs = []
+        for i, p in enumerate(parts):
+            if not p.requires_grad:
+                outs.append(None)
+            elif axis == 0:
+                outs.append(g[offsets[i] : offsets[i + 1], :])
+            else:
+                outs.append(g[:, offsets[i] : offsets[i + 1]])
+        return tuple(outs)
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, build)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, pull)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -595,21 +559,16 @@ def split_last(x: Tensor, parts: int) -> list[Tensor]:
     chunks = [
         x.data[..., i * step : (i + 1) * step] for i in range(parts)
     ]
-    tape = _tape()
-    needs = tape is not None and x.requires_grad
-    outs = [Tensor(c, requires_grad=needs) for c in chunks]
-    if needs:
-        shape = x.shape
+    shape = x.shape
 
-        def pull(*gs):
-            full = np.zeros(shape, dtype=x.data.dtype)
-            for i, g in enumerate(gs):
-                if g is not None:
-                    full[..., i * step : (i + 1) * step] = g
-            return (full,)
+    def pull(*gs):
+        full = np.zeros(shape, dtype=x.data.dtype)
+        for i, g in enumerate(gs):
+            if g is not None:
+                full[..., i * step : (i + 1) * step] = g
+        return (full,)
 
-        tape._record(tuple(outs), (x,), pull)
-    return outs
+    return list(_results(chunks, (x,), pull))
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -620,12 +579,10 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.shape}")
     shape = x.shape
 
-    def build():
-        def pull(g):
-            return (RowSpanGrad(start, stop, g, shape),)
-        return pull
+    def pull(g):
+        return (RowSpanGrad(start, stop, g, shape),)
 
-    return _result(x.data[start:stop], (x,), build)
+    return _result(x.data[start:stop], (x,), pull)
 
 
 def pick_row(x: Tensor, index: int) -> Tensor:
@@ -633,14 +590,12 @@ def pick_row(x: Tensor, index: int) -> Tensor:
         raise ShapeError("pick_row expects a matrix")
     shape = x.shape
 
-    def build():
-        def pull(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            full[index] = g
-            return (full,)
-        return pull
+    def pull(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[index] = g
+        return (full,)
 
-    return _result(x.data[index], (x,), build)
+    return _result(x.data[index], (x,), pull)
 
 
 def row_lookup(table: Tensor, indices) -> Tensor:
@@ -652,17 +607,15 @@ def row_lookup(table: Tensor, indices) -> Tensor:
     table_data = table.data
     shape = table.shape
 
-    def build():
-        def pull(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            if len(np.unique(idx)) == len(idx):
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
-            return (full,)
-        return pull
+    def pull(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        if len(np.unique(idx)) == len(idx):
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
+        return (full,)
 
-    return _result(table_data[idx], (table,), build)
+    return _result(table_data[idx], (table,), pull)
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
@@ -670,12 +623,10 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
         raise ShapeError("stack_rows expects one or more vectors")
     vectors = tuple(vectors)
 
-    def build():
-        def pull(g):
-            return tuple(g[i] if v.requires_grad else None for i, v in enumerate(vectors))
-        return pull
+    def pull(g):
+        return tuple(g[i] if v.requires_grad else None for i, v in enumerate(vectors))
 
-    return _result(np.stack([v.data for v in vectors]), vectors, build)
+    return _result(np.stack([v.data for v in vectors]), vectors, pull)
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +654,10 @@ def softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax expects a non-empty vector, got {x.shape}")
     y = _stable_softmax(x.data)
 
-    def build():
-        def pull(g):
-            return (y * (g - g @ y),)
-        return pull
+    def pull(g):
+        return (y * (g - g @ y),)
 
-    return _result(y, (x,), build)
+    return _result(y, (x,), pull)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -719,13 +668,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     y = exps / exps.sum(axis=1, keepdims=True)
     assert np.all(np.abs(y.sum(axis=1) - 1.0) <= _normalization_tol(y.dtype))
 
-    def build():
-        def pull(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
-            return (y * (g - inner),)
-        return pull
+    def pull(g):
+        inner = (g * y).sum(axis=1, keepdims=True)
+        return (y * (g - inner),)
 
-    return _result(y, (x,), build)
+    return _result(y, (x,), pull)
 
 
 def segment_softmax(scores: Tensor, bounds: Sequence[int]) -> Tensor:
@@ -739,16 +686,14 @@ def segment_softmax(scores: Tensor, bounds: Sequence[int]) -> Tensor:
             raise ShapeError("segment_softmax: empty segment")
         y[a:b] = _stable_softmax(scores.data[a:b])
 
-    def build():
-        def pull(g):
-            dx = np.empty_like(y)
-            for a, b in zip(bounds, bounds[1:]):
-                seg_y, seg_g = y[a:b], g[a:b]
-                dx[a:b] = seg_y * (seg_g - seg_g @ seg_y)
-            return (dx,)
-        return pull
+    def pull(g):
+        dx = np.empty_like(y)
+        for a, b in zip(bounds, bounds[1:]):
+            seg_y, seg_g = y[a:b], g[a:b]
+            dx[a:b] = seg_y * (seg_g - seg_g @ seg_y)
+        return (dx,)
 
-    return _result(y, (scores,), build)
+    return _result(y, (scores,), pull)
 
 
 def segment_weighted_sum(alpha: Tensor, rows: Tensor, bounds: Sequence[int]) -> Tensor:
@@ -762,19 +707,17 @@ def segment_weighted_sum(alpha: Tensor, rows: Tensor, bounds: Sequence[int]) -> 
     ])
     _add_macs(rows.size)
 
-    def build():
-        def pull(g):
-            da = np.empty_like(alpha_data) if alpha.requires_grad else None
-            dr = np.zeros_like(rows_data) if rows.requires_grad else None
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                if da is not None:
-                    da[a:b] = rows_data[a:b] @ g[i]
-                if dr is not None:
-                    dr[a:b] = np.outer(alpha_data[a:b], g[i])
-            return (da, dr)
-        return pull
+    def pull(g):
+        da = np.empty_like(alpha_data) if alpha.requires_grad else None
+        dr = np.zeros_like(rows_data) if rows.requires_grad else None
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if da is not None:
+                da[a:b] = rows_data[a:b] @ g[i]
+            if dr is not None:
+                dr[a:b] = np.outer(alpha_data[a:b], g[i])
+        return (da, dr)
 
-    return _result(out, (alpha, rows), build)
+    return _result(out, (alpha, rows), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +738,12 @@ def cross_entropy(logits: Tensor, gold: int) -> Tensor:
     if not np.isfinite(value):
         raise NumericError("non-finite loss")
 
-    def build():
-        def pull(g):
-            grad = _stable_softmax(row)
-            grad[gold] -= 1.0
-            return (grad * g,)
-        return pull
+    def pull(g):
+        grad = _stable_softmax(row)
+        grad[gold] -= 1.0
+        return (grad * g,)
 
-    return _result(np.asarray(value), (logits,), build)
+    return _result(np.asarray(value), (logits,), pull)
 
 
 def cross_entropy_rows(logits: Tensor, golds) -> Tensor:
@@ -822,16 +763,14 @@ def cross_entropy_rows(logits: Tensor, golds) -> Tensor:
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite loss")
 
-    def build():
-        def pull(g):
-            shifted = rows - rows.max(axis=1, keepdims=True)
-            exps = np.exp(shifted)
-            probs = exps / exps.sum(axis=1, keepdims=True)
-            probs[np.arange(batch), golds] -= 1.0
-            return (probs * (g / batch),)
-        return pull
+    def pull(g):
+        shifted = rows - rows.max(axis=1, keepdims=True)
+        exps = np.exp(shifted)
+        probs = exps / exps.sum(axis=1, keepdims=True)
+        probs[np.arange(batch), golds] -= 1.0
+        return (probs * (g / batch),)
 
-    return _result(np.asarray(values.mean()), (logits,), build)
+    return _result(np.asarray(values.mean()), (logits,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +791,10 @@ def dropout(x: Tensor, p: float, train: bool, rng: Optional[np.random.Generator]
     # Draws stay float64 so a seed gives the same mask in every dtype.
     mask = ((rng.random(x.shape) >= p) / keep).astype(x.data.dtype, copy=False)
 
-    def build():
-        def pull(g):
-            return (g * mask,)
-        return pull
+    def pull(g):
+        return (g * mask,)
 
-    return _result(x.data * mask, (x,), build)
+    return _result(x.data * mask, (x,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import NumericError
-from .data import (
-    load_checkpoint,
-    load_corpus,
-    save_checkpoint,
-)
+from .data import load_checkpoint, load_corpus, read_lines, save_checkpoint
 from .errors import DataError, UsageError
 from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_highlights
 from .structures import build_structure, structure_records
@@ -46,11 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config_file(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in read_lines(path, "config"):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -141,6 +132,12 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-order", type=int, dest="max_order")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--patience", type=int)
+    _add_eval_flags(parser)
+
+
+def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
+    """The two training settings ``eval`` reads: the split seed and the
+    memory update a checkpoint must have been trained with."""
     parser.add_argument("--seed", type=int)
     parser.add_argument("--memory-update", choices=("hidden", "cell"), dest="memory_update")
 
@@ -157,14 +154,13 @@ def build_parser() -> _Parser:
     p_train.add_argument("--output-dir", dest="output_dir", default="runs/latest")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_train_flags(p_eval)
+    _add_eval_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--parses")
     p_eval.add_argument("--split", choices=("all", "train", "dev", "test"), default="all")
 
     p_explain = sub.add_parser("explain", help="write evidence reports")
-    _add_train_flags(p_explain)
     p_explain.add_argument("--checkpoint", required=True)
     p_explain.add_argument("--corpus", required=True)
     p_explain.add_argument("--parses")
@@ -408,7 +404,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -18,7 +18,7 @@ import json
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -76,16 +76,35 @@ class Corpus:
         )
 
 
+def read_lines(path, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of the UTF-8 file ``path``, read one
+    line at a time and without its line ending.  A missing or unreadable
+    file, or a line that is not UTF-8, is a ``DataError`` naming the file
+    (``what`` says which input it is) and the line."""
+    path = Path(path)
+    try:
+        handle = path.open("rb")
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    with handle:
+        # Binary lines decoded one by one, so an error names its own line.
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+            yield lineno, line.rstrip("\r\n")
+
+
 def load_corpus(
     path, label_names: Optional[Sequence[str]] = None, parse_path=None
 ) -> Corpus:
     """Read a ``label<TAB>text`` TSV.  When ``label_names`` is given, any
     other label is an error; otherwise labels are collected and sorted."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
     raw: list[tuple[str, list[str]]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in read_lines(path, "corpus"):
         if not line.strip():
             continue
         if "\t" not in line:
@@ -111,10 +130,7 @@ def load_corpus(
 
     parses = None
     if parse_path is not None:
-        parse_path = Path(parse_path)
-        if not parse_path.exists():
-            raise DataError(f"parse file not found: {parse_path}")
-        parses = [ln for ln in parse_path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        parses = [ln for _, ln in read_lines(parse_path, "parse") if ln.strip()]
         if len(parses) != len(raw):
             raise DataError(
                 f"{parse_path}: {len(parses)} parses for {len(raw)} documents"
@@ -198,29 +214,23 @@ def load_embeddings(
     matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     covered = 0
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"embedding file not found: {path}")
-        with path.open(encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2:
-                    continue
-                token = parts[0]
-                if token not in vocab.id_of:
-                    continue
-                if len(parts) - 1 != dim:
-                    raise DataError(
-                        f"{path}:{lineno}: {len(parts) - 1} values, expected {dim}"
-                    )
-                try:
-                    row = np.array(parts[1:], dtype=np.float64)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
-                if not np.all(np.isfinite(row)):
-                    raise DataError(f"{path}:{lineno}: non-finite embedding value")
-                matrix[vocab.id_of[token]] = row
-                covered += 1
+        for lineno, line in read_lines(path, "embedding"):
+            parts = line.split(" ")
+            if len(parts) < 2:
+                continue
+            token = parts[0]
+            if token not in vocab.id_of:
+                continue
+            if len(parts) - 1 != dim:
+                raise DataError(f"{path}:{lineno}: {len(parts) - 1} values, expected {dim}")
+            try:
+                row = np.array(parts[1:], dtype=np.float64)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"{path}:{lineno}: non-finite embedding value")
+            matrix[vocab.id_of[token]] = row
+            covered += 1
     in_vocab = max(len(vocab) - 1, 1)
     tensor = Tensor(matrix, requires_grad=False, name="embeddings")
     return tensor, covered / in_vocab

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor, gate_count
-from .structures import NgramDag, Span, ngram_dag, ngram_spans
+from .structures import NgramDag, Span, child_rows, ngram_dag, ngram_spans
 
 MEMORY_UPDATES = ("hidden", "cell")
 
@@ -28,10 +28,6 @@ class EncoderOutput:
 
     h: Tensor
     spans: Sequence[Span]
-
-    @property
-    def width(self) -> int:
-        return self.h.shape[1]
 
 
 @dataclass
@@ -127,59 +123,38 @@ def encode_dag(
 
 def _encode_ngram(dag, token_embeddings, params, memory_update):
     n = dag.token_count
-    depth = len(dag.levels)
-    track_c = memory_update == "cell"
+    u = (params.u_left, params.u_right)
     leaf_h, leaf_c = _memoryless_cell(token_embeddings, params)
     h_levels, c_levels = [leaf_h], [leaf_c]
-    # In the forests one child of every composition is a unigram, so its
-    # child-state projection, with the gate bias folded in, can be computed
-    # once and sliced per level instead of recomputed; the pyramid has no
-    # such shared operand.
-    unigram_proj = None
-    if depth >= 2 and dag.kind == "leftforest":
-        unigram_proj = ad.linear_rows(leaf_h, params.u_right, params.bias)
-    elif depth >= 2 and dag.kind == "rightforest":
-        unigram_proj = ad.linear_rows(leaf_h, params.u_left, params.bias)
-    for order in range(2, depth + 1):
+    # A side whose child is a unigram at every order (the forests' shared
+    # side) has its child-state projection, with the gate bias folded in,
+    # computed once per document and sliced per level.
+    shared = next((i for i, side in enumerate(child_rows(dag.kind, 2)) if side.unigram), None)
+    if shared is not None and len(dag.levels) >= 2:
+        unigram_proj = ad.linear_rows(leaf_h, u[shared], params.bias)
+    for order in range(2, len(dag.levels) + 1):
         m = n - order + 1
-        prev_h, unigram_h = h_levels[-1], h_levels[0]
-        if dag.kind == "pyramid":
-            left_h = ad.slice_rows(prev_h, 0, m)
-            right_h = ad.slice_rows(prev_h, 1, m + 1)
-            pre = ad.linear_rows(
-                right_h, params.u_right, params.bias,
-                addend=ad.linear_rows(left_h, params.u_left),
+        sides = child_rows(dag.kind, order)
+
+        def rows(block, side):
+            return ad.slice_rows(block, side.shift, side.shift + m)
+
+        own_h = {
+            i: rows(h_levels[side.order - 1], side) for i, side in enumerate(sides) if i != shared
+        }
+        pre = None if shared is None else rows(unigram_proj, sides[shared])
+        for i, child_h in own_h.items():
+            # Without a shared projection the last (right) product adds the bias.
+            bias = params.bias if shared is None and i == 1 else None
+            pre = ad.linear_rows(child_h, u[i], bias, addend=pre)
+        if memory_update == "cell":
+            mems = tuple(rows(c_levels[side.order - 1], side) for side in sides)
+        else:
+            mems = tuple(
+                own_h[i] if i in own_h else rows(h_levels[side.order - 1], side)
+                for i, side in enumerate(sides)
             )
-            if track_c:
-                left_mem = ad.slice_rows(c_levels[-1], 0, m)
-                right_mem = ad.slice_rows(c_levels[-1], 1, m + 1)
-            else:
-                left_mem, right_mem = left_h, right_h
-        elif dag.kind == "leftforest":
-            left_h = ad.slice_rows(prev_h, 0, m)
-            pre = ad.linear_rows(
-                left_h, params.u_left, addend=ad.slice_rows(unigram_proj, order - 1, n)
-            )
-            if track_c:
-                left_mem = ad.slice_rows(c_levels[-1], 0, m)
-                right_mem = ad.slice_rows(c_levels[0], order - 1, n)
-            else:
-                left_mem = left_h
-                right_mem = ad.slice_rows(unigram_h, order - 1, n)
-        elif dag.kind == "rightforest":
-            right_h = ad.slice_rows(prev_h, 1, m + 1)
-            pre = ad.linear_rows(
-                right_h, params.u_right, addend=ad.slice_rows(unigram_proj, 0, m)
-            )
-            if track_c:
-                left_mem = ad.slice_rows(c_levels[0], 0, m)
-                right_mem = ad.slice_rows(c_levels[-1], 1, m + 1)
-            else:
-                left_mem = ad.slice_rows(unigram_h, 0, m)
-                right_mem = right_h
-        else:  # pragma: no cover - guarded upstream
-            raise ValueError(f"unsupported structure kind {dag.kind!r}")
-        h, c = ad.tree_cell_gates(pre, (left_mem, right_mem))
+        h, c = ad.tree_cell_gates(pre, mems)
         h_levels.append(h)
         c_levels.append(c)
     full = h_levels[0] if len(h_levels) == 1 else ad.concat_rows(h_levels)

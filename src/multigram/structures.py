@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DataError
 
@@ -83,16 +83,37 @@ def ngram_spans(n: int, max_order: int) -> tuple[Span, ...]:
     )
 
 
-def _ngram_children(kind: str, start: int, order: int) -> tuple[Span, Span]:
-    # Child rules for order >= 2.  All three share the same span set but
-    # decompose a span differently.
-    if kind == "pyramid":
-        return Span(start, order - 1), Span(start + 1, order - 1)
-    if kind == "leftforest":
-        return Span(start, order - 1), Span(start + order - 1, 1)
-    if kind == "rightforest":
-        return Span(start, 1), Span(start + 1, order - 1)
-    raise ValueError(f"unknown ngram structure kind: {kind!r}")
+# How each ngram kind composes a span of order k >= 2: its (left, right)
+# children are its (k-1)-token prefix or suffix, or its first or last token.
+_CHILD_RULES = {
+    "pyramid": ("prefix", "suffix"),
+    "leftforest": ("prefix", "last"),
+    "rightforest": ("first", "suffix"),
+}
+
+
+class ChildRows(NamedTuple):
+    """Where one side's child of every span of a level lies: the child of
+    the span starting at s is the span (s + shift, order).  ``unigram``
+    marks a side whose child is one token at every order of the kind."""
+
+    order: int
+    shift: int
+    unigram: bool
+
+
+def child_rows(kind: str, order: int) -> tuple[ChildRows, ChildRows]:
+    """The left and right ``ChildRows`` of the spans of ``order`` >= 2 in
+    the ngram structure ``kind``: the one child rule that both the DAG
+    builder and the level-wise encoder read."""
+    parts = {
+        "prefix": ChildRows(order - 1, 0, False),
+        "suffix": ChildRows(order - 1, 1, False),
+        "first": ChildRows(1, 0, True),
+        "last": ChildRows(1, order - 1, True),
+    }
+    left, right = _CHILD_RULES[kind]
+    return parts[left], parts[right]
 
 
 def build_structure(
@@ -129,8 +150,10 @@ def build_structure(
     for node_id, span in enumerate(spans):
         children = None
         if span.order > 1:
-            left, right = _ngram_children(kind, span.start, span.order)
-            children = (span_ids[left], span_ids[right])
+            children = tuple(
+                span_ids[Span(span.start + side.shift, side.order)]
+                for side in child_rows(kind, span.order)
+            )
         span_ids[span] = node_id
         nodes.append(NgramNode(node_id, span, children, span.order))
         levels[span.order - 1].append(node_id)

@@ -72,6 +72,10 @@ class TestTrain:
         assert code == 2
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_directory_as_corpus_is_a_data_error(self, tmp_path, capsys):
+        assert run(["train", "--corpus", tmp_path, *FAST]) == 2
+        assert f"cannot read corpus file {tmp_path}" in capsys.readouterr().err
+
     def test_seed_repeat_reproduces_metrics(self, corpus_path, tmp_path, capsys):
         logs = []
         for name in ("a", "b"):
@@ -157,6 +161,19 @@ class TestConfigFile:
         assert code == 2
         assert f"vectors.txt:1: {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, good_line", [
+        ("--corpus", "a\tb c"), ("--parses", "(b c)"), ("--embeddings", "zzz 0.5"),
+        ("--config", "# a comment"),
+    ], ids=["corpus", "parses", "embeddings", "config"])
+    def test_non_utf8_input_names_file_and_line(self, corpus_path, tmp_path, capsys,
+                                                flag, good_line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(good_line.encode() + b"\n\xff\xfe\n")
+        inputs = {"--corpus": corpus_path, flag: bad}
+        args = [str(x) for pair in inputs.items() for x in pair]
+        assert run(["train", *args, *FAST, "--output-dir", tmp_path / "run"]) == 2
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained_run(corpus_path, tmp_path_factory):
@@ -179,6 +196,15 @@ class TestEvalExplainBench:
     def test_eval_missing_checkpoint(self, corpus_path, tmp_path, capsys):
         assert run(["eval", "--checkpoint", tmp_path / "no.ckpt",
                     "--corpus", corpus_path]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["explain", "--epochs", "3"],
+        ["eval", "--config", "x.cfg"],
+    ])
+    def test_unread_training_options_are_refused(self, trained_run, corpus_path, capsys, args):
+        code = run([*args, "--checkpoint", trained_run, "--corpus", corpus_path])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_eval_variant_mismatch_refused(self, trained_run, corpus_path, capsys):
         code = run(["eval", "--checkpoint", trained_run, "--corpus", corpus_path,

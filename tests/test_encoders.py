@@ -179,6 +179,26 @@ class TestEncodeDag:
         encode_dag_reference(dag, x, params, cell=counting_cell)
         assert len(calls) == len(dag.nodes)
 
+    @pytest.mark.parametrize("kind, memory_update, expected", [
+        ("pyramid", "hidden", (10, 20, 35)),
+        ("pyramid", "cell", (12, 26, 47)),
+        ("leftforest", "hidden", (11, 21, 36)),
+        ("leftforest", "cell", (12, 24, 42)),
+        ("rightforest", "hidden", (11, 21, 36)),
+        ("rightforest", "cell", (12, 24, 42)),
+    ])
+    def test_tape_records_per_kind(self, kind, memory_update, expected):
+        # Every level costs a fixed set of slices, products and one cell; a
+        # stray slice or projection shows up here before it shows in time.
+        _, params = fresh_tree_params(5, 4, seed=3)
+        counts = []
+        for n, max_order in ((2, 7), (9, 4), (40, 7)):
+            with Tape() as tape:
+                encode_dag(build_structure(kind, n, max_order), random_embeddings(n, 5),
+                           params, memory_update)
+            counts.append(len(tape))
+        assert tuple(counts) == expected
+
     def test_misaligned_embeddings_rejected(self):
         _, params = fresh_tree_params(4, 3)
         with pytest.raises(ad.ShapeError):
@@ -208,7 +228,7 @@ class TestBiForest:
         _, left = fresh_tree_params(4, 5, seed=1, prefix="left")
         _, right = fresh_tree_params(4, 5, seed=2, prefix="right")
         out = encode_bi_forest(random_embeddings(6, 4), left, right, max_order=3)
-        assert out.width == 10
+        assert out.h.shape[1] == 10
         assert len(out.spans) == 6 + 5 + 4
 
     def test_identical_params_make_unigram_halves_equal(self):

@@ -114,6 +114,28 @@ def test_span_sets_agree_across_ngram_kinds(n, max_order):
         assert len(dag.nodes) == sum(n - k + 1 for k in range(1, min(max_order, n) + 1))
 
 
+# The child rules as the paper's figures draw them, written out here
+# independently of ``structures.child_rows``.
+EXPECTED_CHILDREN = {
+    "pyramid": lambda s, k: ((s, k - 1), (s + 1, k - 1)),
+    "leftforest": lambda s, k: ((s, k - 1), (s + k - 1, 1)),
+    "rightforest": lambda s, k: ((s, 1), (s + 1, k - 1)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), max_order=st.integers(1, 8))
+def test_every_internal_node_has_the_kinds_children(n, max_order):
+    for kind, expected in EXPECTED_CHILDREN.items():
+        dag = build_structure(kind, n, max_order)
+        for node in dag.nodes:
+            if node.span.order == 1:
+                assert node.children is None
+            else:
+                start, order = node.span.start, node.span.order
+                assert children_spans(dag, start, order) == expected(start, order)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 10), max_order=st.integers(1, 7))
 def test_forest_unfolding_is_exact(n, max_order):
