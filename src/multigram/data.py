@@ -3,14 +3,15 @@
 File formats owned here:
 
 * corpus: TSV, one ``label<TAB>text`` line per document;
-* parses: one bracketed binary tree per line, aligned with the corpus;
+* parses: one bracketed binary tree per line, aligned with the corpus and
+  checked against it when read;
 * embeddings: GloVe text, ``token v1 .. ve`` per line;
 * checkpoints: magic ``MGNC``, u32 version, u32 JSON header length, JSON
   header (config, label names, vocab, tensor index, dtype), then raw
   little-endian row-major blobs in the header's dtype (``float32`` or
-  ``float64``; a header without the field is float64): embedding matrix
-  first, parameters after, in header order.  Version 2 has the gate order
-  of ``autodiff.tree_cell_gates``; version 1 files had another and are refused.
+  ``float64``): embedding matrix first, parameters after, in header order.
+  Version 2 has the gate order of ``autodiff.tree_cell_gates``; version 1
+  files had another and are refused.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import DataError
 from .model import ModelConfig, TextClassifier
+from .structures import BracketingError, read_bracketing
 
 CHECKPOINT_MAGIC = b"MGNC"
 CHECKPOINT_VERSION = 2
@@ -130,11 +132,15 @@ def load_corpus(
 
     parses = None
     if parse_path is not None:
-        parses = [ln for _, ln in read_lines(parse_path, "parse") if ln.strip()]
-        if len(parses) != len(raw):
-            raise DataError(
-                f"{parse_path}: {len(parses)} parses for {len(raw)} documents"
-            )
+        lines = [(lineno, ln) for lineno, ln in read_lines(parse_path, "parse") if ln.strip()]
+        if len(lines) != len(raw):
+            raise DataError(f"{parse_path}: {len(lines)} parses for {len(raw)} documents")
+        for (lineno, parse), (_, tokens) in zip(lines, raw):
+            try:
+                read_bracketing(parse, len(tokens))
+            except BracketingError as exc:
+                raise DataError(f"{parse_path}:{lineno}: {exc}") from None
+        parses = [parse for _, parse in lines]
     return Corpus([tokens for _, tokens in raw], labels, names, parses)
 
 
@@ -215,16 +221,15 @@ def load_embeddings(
     covered = 0
     if path is not None:
         for lineno, line in read_lines(path, "embedding"):
-            parts = line.split(" ")
-            if len(parts) < 2:
+            # Only lines in the vocabulary are split and checked.
+            token, sep, values = line.partition(" ")
+            if not sep or token not in vocab.id_of:
                 continue
-            token = parts[0]
-            if token not in vocab.id_of:
-                continue
-            if len(parts) - 1 != dim:
-                raise DataError(f"{path}:{lineno}: {len(parts) - 1} values, expected {dim}")
+            parts = values.split(" ")
+            if len(parts) != dim:
+                raise DataError(f"{path}:{lineno}: {len(parts)} values, expected {dim}")
             try:
-                row = np.array(parts[1:], dtype=np.float64)
+                row = np.array(parts, dtype=np.float64)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
             if not np.all(np.isfinite(row)):
@@ -324,7 +329,7 @@ def load_checkpoint(path, require: Optional[dict] = None) -> TextClassifier:
     path = Path(path)
     header = read_checkpoint_header(path)
     config = _stored_config(path, header)
-    for key in ("vocab", "label_names", "embedding_shape", "tensors"):
+    for key in ("vocab", "label_names", "embedding_shape", "tensors", "dtype"):
         if key not in header:
             raise DataError(f"{path}: checkpoint header has no {key!r}")
     if require:
@@ -335,8 +340,7 @@ def load_checkpoint(path, require: Optional[dict] = None) -> TextClassifier:
                     f"{path}: checkpoint was written with {key}={stored!r}; refusing to "
                     f"load it as {key}={wanted!r}"
                 )
-    # Headers written before the field existed hold float64 blobs.
-    dtype = header.get("dtype", "float64")
+    dtype = header["dtype"]
     if not isinstance(dtype, str) or dtype not in _BLOB_DTYPES:
         raise DataError(f"{path}: checkpoint dtype {dtype!r} unsupported (expected one of "
                         f"{sorted(_BLOB_DTYPES)})")

@@ -136,7 +136,7 @@ def build_structure(
     if kind == "tree":
         if parse is None:
             raise BracketingError("tree structure requires a bracketed parse")
-        return _build_tree(tokens, parse)
+        return _build_tree(tokens, n, parse)
     if kind not in STRUCTURE_KINDS:
         raise ValueError(f"unknown structure kind: {kind!r}")
     if max_order < 1:
@@ -204,91 +204,53 @@ def ngram_text(dag: NgramDag, node_id: int, tokens: Sequence[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_bracketing(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_node(items: list[str], pos: int):
-    """Returns (subtree, next_pos); a subtree is either a leaf word or a
-    (left, right) pair."""
-    if pos >= len(items):
-        raise BracketingError("unexpected end of bracketing")
-    item = items[pos]
-    if item == "(":
-        left, pos = _parse_node(items, pos + 1)
-        right, pos = _parse_node(items, pos)
-        if pos >= len(items) or items[pos] != ")":
-            raise BracketingError("expected ')' closing a binary node")
-        return (left, right), pos + 1
-    if item == ")":
-        raise BracketingError("unexpected ')'")
-    return item, pos + 1
-
-
-def parse_bracketing(text: str) -> object:
-    """Parse a fully binary bracketed tree; leaves are whitespace tokens."""
-    items = _tokenize_bracketing(text)
-    if not items:
-        raise BracketingError("empty bracketing")
-    tree, pos = _parse_node(items, 0)
-    if pos != len(items):
-        raise BracketingError("trailing content after bracketing")
-    return tree
-
-
-def bracketing_leaves(tree: object) -> list[str]:
-    if isinstance(tree, tuple):
-        return bracketing_leaves(tree[0]) + bracketing_leaves(tree[1])
-    return [tree]  # type: ignore[list-item]
-
-
-def _build_tree(tokens: Sequence[str] | int, parse: str) -> NgramDag:
-    tree = parse_bracketing(parse)
-    leaves = bracketing_leaves(tree)
-    n = tokens if isinstance(tokens, int) else len(tokens)
+def read_bracketing(parse: str, n: int) -> tuple[list[str], list[tuple[int, int, int, int]]]:
+    """The leaf words and the internal nodes, children before parents, of a
+    strictly binary bracketing over ``n`` tokens.  A node is ``(height,
+    start, mid, end)``: it covers tokens start:end, its children start:mid
+    and mid:end, and it sits at level ``height`` (leaves are level 1).  One
+    left-to-right pass over a stack reads a tree of any depth; a bracketing
+    that is not one binary tree, or has other than ``n`` leaves, is a
+    ``BracketingError``."""
+    leaves: list[str] = []
+    nodes: list[tuple[int, int, int, int]] = []
+    stack: list = []  # "(" marks and finished subtrees as (start, height)
+    for item in parse.replace("(", " ( ").replace(")", " ) ").split():
+        if item == "(":
+            stack.append(item)
+        elif item != ")":
+            stack.append((len(leaves), 1))
+            leaves.append(item)
+        elif len(stack) < 3 or stack[-3] != "(" or "(" in stack[-2:]:
+            raise BracketingError("')' does not close a bracket of exactly two subtrees")
+        else:
+            (start, left_height), (mid, right_height) = stack[-2:]
+            height = 1 + max(left_height, right_height)
+            nodes.append((height, start, mid, len(leaves)))
+            stack[-3:] = [(start, height)]
+    if len(stack) != 1 or stack[0] == "(":
+        raise BracketingError("bracketing is not a single tree")
     if len(leaves) != n:
-        raise BracketingError(
-            f"bracketing has {len(leaves)} leaves but the sentence has {n} tokens"
-        )
-    if not isinstance(tokens, int):
-        if [w.lower() for w in leaves] != [t.lower() for t in tokens]:
-            raise BracketingError("bracketing leaves do not match the sentence tokens")
+        raise BracketingError(f"bracketing has {len(leaves)} leaves but the sentence has {n} tokens")
+    return leaves, nodes
 
-    # First pass: collect (span, children-as-spans, level) bottom-up.
-    entries: dict[Span, tuple[Optional[tuple[Span, Span]], int]] = {}
 
-    def walk(sub, start: int) -> tuple[Span, int]:
-        if not isinstance(sub, tuple):
-            span = Span(start, 1)
-            entries[span] = (None, 1)
-            return span, start + 1
-        left_span, nxt = walk(sub[0], start)
-        right_span, nxt = walk(sub[1], nxt)
-        span = Span(start, nxt - start)
-        if span in entries:
-            raise BracketingError(f"duplicate span {span} in bracketing")
-        level = 1 + max(entries[left_span][1], entries[right_span][1])
-        entries[span] = ((left_span, right_span), level)
-        return span, nxt
-
-    walk(tree, 0)
-
-    ordered = sorted(entries.items(), key=lambda kv: (kv[1][1], kv[0].start))
-    span_ids = {span: idx for idx, (span, _) in enumerate(ordered)}
-    nodes = []
-    max_level = ordered[-1][1][1]
-    levels: list[list[int]] = [[] for _ in range(max_level)]
-    for span, (child_spans, level) in ordered:
-        node_id = span_ids[span]
-        children = None
-        if child_spans is not None:
-            children = (span_ids[child_spans[0]], span_ids[child_spans[1]])
-        nodes.append(NgramNode(node_id, span, children, level))
-        levels[level - 1].append(node_id)
-    return NgramDag(
-        "tree", n, max(span.order for span in entries), tuple(nodes),
-        tuple(tuple(level) for level in levels), tuple(node.span for node in nodes),
-    )
+def _build_tree(tokens: Sequence[str] | int, n: int, parse: str) -> NgramDag:
+    leaves, internal = read_bracketing(parse, n)
+    if not isinstance(tokens, int) and [w.lower() for w in leaves] != [t.lower() for t in tokens]:
+        raise BracketingError("bracketing leaves do not match the sentence tokens")
+    # Ids level by level, then by start, so children always come first.
+    nodes = [NgramNode(i, Span(i, 1), None, 1) for i in range(n)]
+    id_of = {(i, i + 1): i for i in range(n)}
+    for height, start, mid, end in sorted(internal):
+        id_of[start, end] = len(nodes)
+        children = (id_of[start, mid], id_of[mid, end])
+        nodes.append(NgramNode(len(nodes), Span(start, end - start), children, height))
+    levels: list[list[int]] = [[] for _ in range(nodes[-1].level)]
+    for node in nodes:
+        levels[node.level - 1].append(node.id)
+    return NgramDag("tree", n, n, tuple(nodes), tuple(map(tuple, levels)),
+                    tuple(node.span for node in nodes))
 
 
 def left_branching_bracketing(tokens: Sequence[str]) -> str:

@@ -75,28 +75,27 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+# ADAM's moment decay rates and denominator guard: the method's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 class Adam:
     """Bias-corrected ADAM over a parameter store.  Frozen tensors never
     enter the store, so embeddings are untouched by construction."""
 
-    def __init__(self, store: ParamStore, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, store: ParamStore, learning_rate: float = 0.001):
         self.store = store
         self.learning_rate = learning_rate
         self.state = AdamState(
             m={name: np.zeros_like(t.data) for name, t in store.items()},
             v={name: np.zeros_like(t.data) for name, t in store.items()},
-            beta1=beta1, beta2=beta2, epsilon=epsilon,
         )
 
     def step(self) -> None:
@@ -109,13 +108,13 @@ class Adam:
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
             m = state.m[name]
             v = state.v[name]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            m_hat = m / (1.0 - state.beta1 ** t)
-            v_hat = v / (1.0 - state.beta2 ** t)
-            param.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            param.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
     def zero_grad(self) -> None:
         self.store.zero_grad()
@@ -382,24 +381,19 @@ class BenchRow:
 def measure_encoder_macs(model: TextClassifier, docs: EncodedDocs) -> int:
     """Exact forward multiply-accumulates spent encoding every document.
 
-    The count is a function of document length only (for fixed encoder), so
+    The count is a function of document length only (for fixed encoder; a
+    binary parse tree over n tokens always has n - 1 internal nodes), so
     equal-length documents share one instrumented run.
     """
-    if model.config.encoder == "tree":
-        ad.reset_mac_count()
-        for idx in range(len(docs)):
-            model.encode_units(docs.ids[idx], docs.parse_for(idx))
-        return ad.mac_count()
-    totals: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for idx in range(len(docs)):
-        n = len(docs.ids[idx])
-        counts[n] = counts.get(n, 0) + 1
-        if n not in totals:
+    per_length: dict[int, int] = {}
+    total = 0
+    for idx, ids in enumerate(docs.ids):
+        if len(ids) not in per_length:
             ad.reset_mac_count()
-            model.encode_units(docs.ids[idx])
-            totals[n] = ad.mac_count()
-    return sum(totals[n] * counts[n] for n in counts)
+            model.encode_units(ids, docs.parse_for(idx))
+            per_length[len(ids)] = ad.mac_count()
+        total += per_length[len(ids)]
+    return total
 
 
 def benchmark(

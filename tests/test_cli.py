@@ -7,6 +7,7 @@ import pytest
 
 from multigram.cli import main
 from multigram.data import save_corpus
+from multigram.structures import left_branching_bracketing
 from multigram.synthetic import make_planted_corpus
 
 from conftest import rewrite_checkpoint_header
@@ -193,6 +194,27 @@ class TestEvalExplainBench:
         assert "accuracy\t" in out
         assert out.count("class\t") == 3
 
+    @pytest.mark.parametrize("bad", ["((a b)", "(a b)"], ids=["malformed", "misaligned"])
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_bad_parse_stops_before_any_work(self, trained_run, corpus_path, tmp_path, capsys,
+                                             command, bad):
+        docs = [line.split("\t")[1].split() for line in corpus_path.read_text().splitlines()]
+        lines = [left_branching_bracketing(doc) for doc in docs]
+        lines[3] = bad  # the fourth parse, on line 5 after the blank line 4
+        lines.insert(3, "")
+        parses = tmp_path / "parses.txt"
+        parses.write_text("\n".join(lines) + "\n")
+        args = {
+            "train": ["--encoder", "tree", *FAST, "--output-dir", tmp_path / "run"],
+            "eval": ["--checkpoint", trained_run],
+            "explain": ["--checkpoint", trained_run],
+        }[command]
+        assert run([command, "--corpus", corpus_path, "--parses", parses, *args]) == 2
+        captured = capsys.readouterr()
+        assert f"{parses}:5: " in captured.err and "Traceback" not in captured.err
+        assert not any(word in captured.out for word in ("[data]", "[result]", "accuracy",
+                                                         "predicted"))
+
     def test_eval_missing_checkpoint(self, corpus_path, tmp_path, capsys):
         assert run(["eval", "--checkpoint", tmp_path / "no.ckpt",
                     "--corpus", corpus_path]) == 2
@@ -234,6 +256,7 @@ class TestEvalExplainBench:
         ("version 1", "checkpoint version 1 unsupported"),
         ("no vocab", "checkpoint header has no 'vocab'"),
         ("no tensors", "checkpoint header has no 'tensors'"),
+        ("no dtype", "checkpoint header has no 'dtype'"),
     ])
     def test_unloadable_checkpoint_is_a_data_error(self, trained_run, corpus_path, tmp_path,
                                                    capsys, damage, message):

@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +73,23 @@ class TestLoadCorpus:
         short = write(tmp_path, "p2.txt", "(x y)\n")
         with pytest.raises(DataError, match="parses"):
             load_corpus(corpus_path, parse_path=short)
+
+    @pytest.mark.parametrize("parse, problem", [
+        ("((x y) z", "not a single tree"),
+        ("(x y z)", "exactly two subtrees"),
+        ("(x (y z))", "3 leaves but the sentence has 2 tokens"),
+    ])
+    def test_bad_parse_names_file_and_line(self, tmp_path, parse, problem):
+        corpus_path = write(tmp_path, "c.tsv", "a\tx y\nb\tq r\n")
+        # Blank lines are skipped, so the second parse is on line 4.
+        parse_path = write(tmp_path, "p.txt", f"(x y)\n\n\n{parse}\n")
+        with pytest.raises(DataError, match=rf"p\.txt:4: .*{problem}"):
+            load_corpus(corpus_path, parse_path=parse_path)
+
+    def test_parse_leaf_words_are_not_compared(self, tmp_path):
+        corpus_path = write(tmp_path, "c.tsv", "a\tx y\n")
+        parse_path = write(tmp_path, "p.txt", "(other words)\n")
+        assert load_corpus(corpus_path, parse_path=parse_path).parses == ["(other words)"]
 
     def test_length_stats(self, tmp_path):
         path = write(tmp_path, "c.tsv", "a\tx y z\nb\tq\n")
@@ -202,6 +216,14 @@ class TestVocabAndEmbeddings:
         with pytest.raises(DataError, match=r"e\.txt:1: non-numeric"):
             load_embeddings(path, vocab, dim=3, seed=0)
 
+    @pytest.mark.parametrize("line", ["pear 1 2\n", "pear 1 two 3\n", "pear 1 nan 3\n"])
+    def test_unchecked_lines_outside_the_vocabulary_are_skipped(self, tmp_path, line):
+        vocab = Vocab.build([["apple"]])
+        path = write(tmp_path, "e.txt", line + "apple 1 2 3\n")
+        matrix, coverage = load_embeddings(path, vocab, dim=3, seed=0)
+        np.testing.assert_array_equal(matrix.data[vocab.id_of["apple"]], [1, 2, 3])
+        assert coverage == 1.0
+
     def test_embeddings_are_frozen(self):
         vocab = Vocab.build([["a"]])
         matrix, _ = load_embeddings(None, vocab, dim=2, seed=0)
@@ -254,24 +276,6 @@ class TestCheckpoints:
         after, _ = loaded.forward_doc(ids)
         assert np.array_equal(before.probs, after.probs)
         assert np.array_equal(before.alpha, after.alpha)
-
-    def test_header_without_dtype_reads_as_float64(self, tmp_path):
-        # Checkpoints written before the dtype field hold float64 blobs.
-        model = tiny_model()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        header = read_checkpoint_header(path)
-        assert header.pop("dtype") == "float64"
-        old_blob = json.dumps(header).encode("utf-8")
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        path.write_bytes(
-            raw[:8] + struct.pack("<I", len(old_blob)) + old_blob + raw[12 + header_len :]
-        )
-        loaded = load_checkpoint(path)
-        assert loaded.embeddings.data.dtype == np.float64
-        ids = model.vocab.encode(["beta", "delta"])
-        assert np.array_equal(loaded.forward_doc(ids)[0].probs, model.forward_doc(ids)[0].probs)
 
     def test_unknown_config_key_names_checkpoint_and_key(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -12,9 +12,7 @@ from multigram.structures import (
     left_branching_bracketing,
     level_schedule,
     ngram_text,
-    parse_bracketing,
     random_bracketing,
-    bracketing_leaves,
     structure_records,
     unfold_tokens,
 )
@@ -243,9 +241,51 @@ class TestBracketing:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 500))
     def test_random_bracketing_round_trip(self, n, seed):
+        # A random bracketing of the tokens reads back as those tokens, in order.
         tokens = [f"t{i}" for i in range(n)]
         parse = random_bracketing(tokens, np.random.default_rng(seed))
-        assert bracketing_leaves(parse_bracketing(parse)) == tokens
+        dag = build_structure("tree", tokens, 7, parse=parse)
+        leaves = [node for node in dag.nodes if node.is_leaf]
+        assert [ngram_text(dag, leaf.id, tokens) for leaf in leaves] == [[t] for t in tokens]
+        if n > 1:
+            with pytest.raises(BracketingError, match="match"):
+                build_structure("tree", tokens[::-1], 7, parse=parse)
+
+    def test_deep_left_branching_tree_builds(self):
+        # One level per token: a recursive reader would exceed Python's stack.
+        n = 5000
+        parse = left_branching_bracketing([f"w{i}" for i in range(n)])
+        dag = build_structure("tree", n, 7, parse=parse)
+        assert len(dag.levels) == n
+        assert dag.nodes[-1].span == Span(0, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 10_000))
+    def test_tree_nodes_follow_the_bracketing_rules(self, n, seed):
+        """Leaves sit at level 1.  An internal node's span is its left
+        child's span followed by its right child's, and its level is one
+        more than its higher child's.  Ids run level by level, then by start."""
+        parse = random_bracketing([f"t{i}" for i in range(n)], np.random.default_rng(seed))
+        dag = build_structure("tree", n, 7, parse=parse)
+        assert len(dag.nodes) == 2 * n - 1
+        assert [node.id for node in dag.nodes] == list(range(2 * n - 1))
+        for node in dag.nodes:
+            assert dag.spans[node.id] == node.span
+            if node.is_leaf:
+                assert node.level == 1 and node.span.order == 1
+                continue
+            left, right = (dag.nodes[i] for i in node.children)
+            assert left.span.start == node.span.start
+            assert right.span.start == left.span.end
+            assert right.span.end == node.span.end
+            assert node.level == 1 + max(left.level, right.level)
+        keys = [(node.level, node.span.start) for node in dag.nodes]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert dag.levels == tuple(
+            tuple(node.id for node in dag.nodes if node.level == level)
+            for level in range(1, len(dag.levels) + 1)
+        )
+        assert [node.span.start for node in dag.nodes if node.is_leaf] == list(range(n))
 
 
 def test_structure_records_format():

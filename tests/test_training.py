@@ -17,6 +17,7 @@ from multigram.training import (
     bucket_batches,
     derive_rng,
     evaluate,
+    measure_encoder_macs,
     prepare_bundle,
     train,
 )
@@ -320,3 +321,20 @@ class TestBenchmark:
         expect_cnn = sum(cnn_encoder_macs(n, 3, 10, 8) for n in lengths)
         assert rows[0].encoder_macs == expect_forest
         assert rows[1].encoder_macs == expect_cnn
+
+    def test_tree_macs_over_mixed_parses_match_closed_form(self):
+        from multigram.encoders import tree_encoder_macs
+        from multigram.structures import random_bracketing
+
+        rng = np.random.default_rng(4)
+        docs = [[f"t{rng.integers(0, 20)}" for _ in range(rng.integers(1, 12))]
+                for _ in range(30)]
+        parses = [random_bracketing(doc, rng) for doc in docs]
+        corpus = Corpus(docs, [i % 3 for i in range(30)], ["a", "b", "c"], parses)
+        bundle = prepare_bundle(corpus, None, embed_dim=10, seed=1)
+        config = small_config(encoder="tree", embed_dim=10, hidden_dim=8)
+        model = TextClassifier(config.model_config(3), bundle.vocab, bundle.label_names,
+                               bundle.embeddings, init_seed=0)
+        docs_all = EncodedDocs.from_corpus(corpus, bundle.vocab)
+        expected = sum(tree_encoder_macs(len(doc), 10, 8) for doc in docs)
+        assert measure_encoder_macs(model, docs_all) == expected
