@@ -15,6 +15,7 @@ float64.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -51,12 +52,18 @@ def _add_macs(n: int) -> None:
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_serials = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    """A numpy array with an optional gradient.  ``key`` is a serial number
+    unique in the process; tapes use it, not ``id()``, because CPython
+    reuses the id of a freed tensor."""
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+        self.key = next(_serials)
         data = np.asarray(data)
         # float32 and float64 are kept; lists, integers and booleans become float64.
         self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
@@ -112,13 +119,24 @@ def _accumulate_grad(store: dict, key, grad):
 
 
 class Tape:
-    """Ordered record of primitive applications for one forward pass."""
+    """Ordered record of primitive applications for one forward pass.
+
+    A record keeps the serial key of each output and, per input, its key
+    and ``requires_grad`` flag; it holds an input ``Tensor`` only when that
+    input was not produced on this tape (a parameter or another leaf, whose
+    ``.grad`` backward writes).  Each record's pull closure holds only the
+    arrays and flags its gradient formula reads, so an intermediate array
+    that no formula reads (a gate pre-activation, a concatenation) is freed
+    as soon as the forward pass drops it.  Records live until the tape is
+    dropped.
+    """
 
     def __init__(self):
-        # Each record: (outputs tuple, inputs tuple, pull function).
-        # pull receives one output gradient per output (None if unused) and
-        # returns one gradient per input (None to skip).
-        self._records: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
+        # Each record: (output keys, input sources, pull function), where a
+        # source is (key, requires_grad, leaf tensor or None).  pull receives
+        # one output gradient per output (None if unused) and returns one
+        # gradient per input (None to skip).
+        self._records: list[tuple[tuple[int, ...], tuple, Callable]] = []
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
@@ -130,9 +148,15 @@ class Tape:
         assert popped is self
 
     def _record(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], pull) -> None:
-        self._records.append((outputs, inputs, pull))
-        for out in outputs:
-            self._produced.add(id(out))
+        produced = self._produced
+        sources = tuple(
+            (t.key, t.requires_grad,
+             t if t.requires_grad and t.key not in produced else None)
+            for t in inputs
+        )
+        out_keys = tuple(t.key for t in outputs)
+        produced.update(out_keys)
+        self._records.append((out_keys, sources, pull))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -141,19 +165,21 @@ class Tape:
         """Propagate d(seed * loss)/d(tensor) to every recorded tensor.
 
         Gradients for leaf tensors (those not produced on this tape) are
-        added into ``tensor.grad``, so successive calls accumulate.
+        added into ``tensor.grad``, so successive calls accumulate.  The
+        records are read, not consumed: they stay on the tape until the tape
+        is dropped.
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if id(loss) not in self._produced:
+        if loss.key not in self._produced:
             raise ValueError("loss was not produced under this tape")
-        grads: dict[int, object] = {id(loss): np.asarray(seed, dtype=loss.data.dtype)}
+        grads: dict[int, object] = {loss.key: np.asarray(seed, dtype=loss.data.dtype)}
         leaves: dict[int, Tensor] = {}
-        for outputs, inputs, pull in reversed(self._records):
+        for out_keys, sources, pull in reversed(self._records):
             out_grads = []
             missing = True
-            for out in outputs:
-                g = grads.pop(id(out), None)
+            for key in out_keys:
+                g = grads.pop(key, None)
                 if isinstance(g, RowSpanGrad):
                     g = g.densify()
                 if g is not None:
@@ -162,16 +188,15 @@ class Tape:
             if missing:
                 continue
             in_grads = pull(*out_grads)
-            for tensor, grad in zip(inputs, in_grads):
-                if grad is None or not tensor.requires_grad:
+            for (key, needs_grad, leaf), grad in zip(sources, in_grads):
+                if grad is None or not needs_grad:
                     continue
-                key = id(tensor)
                 # Pulls hand over ownership: each returned array is fresh, a
                 # dead buffer, or a view disjoint from its siblings, so the
                 # accumulator may store and mutate it without copying.
                 _accumulate_grad(grads, key, grad)
-                if key not in self._produced:
-                    leaves[key] = tensor
+                if leaf is not None:
+                    leaves[key] = leaf
         for key, tensor in leaves.items():
             grad = grads[key]
             if isinstance(grad, RowSpanGrad):
@@ -210,27 +235,28 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
+    both = a.requires_grad and b.requires_grad
 
     def pull(g):
-        if a.requires_grad and b.requires_grad:
-            # Distinct arrays: the two gradient sinks must not alias.
-            return (g, g.copy())
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        # Distinct arrays when both take a gradient: the sinks must not alias.
+        return (g, g.copy() if both else g)
 
     return _result(a.data + b.data, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-    a_data, b_data = a.data, b.data
+    # Each operand's gradient reads the other one; keep only those read.
+    b_kept = b.data if a.requires_grad else None
+    a_kept = a.data if b.requires_grad else None
 
     def pull(g):
         return (
-            g * b_data if a.requires_grad else None,
-            g * a_data if b.requires_grad else None,
+            None if b_kept is None else g * b_kept,
+            None if a_kept is None else g * a_kept,
         )
 
-    return _result(a_data * b_data, (a, b), pull)
+    return _result(a.data * b.data, (a, b), pull)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -271,16 +297,17 @@ def sum_all(x: Tensor) -> Tensor:
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
         raise ShapeError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
-    a_data, b_data = a.data, b.data
+    b_kept = b.data if a.requires_grad else None
+    a_kept = a.data if b.requires_grad else None
     _add_macs(a.size)
 
     def pull(g):
         return (
-            g * b_data if a.requires_grad else None,
-            g * a_data if b.requires_grad else None,
+            None if b_kept is None else g * b_kept,
+            None if a_kept is None else g * a_kept,
         )
 
-    return _result(np.asarray(a_data @ b_data), (a, b), pull)
+    return _result(np.asarray(a.data @ b.data), (a, b), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +318,33 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 def matvec(w: Tensor, x: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"matvec: incompatible shapes {w.shape} @ {x.shape}")
-    w_data, x_data = w.data, x.data
+    x_kept = x.data if w.requires_grad else None
+    w_kept = w.data if x.requires_grad else None
     _add_macs(w.shape[0] * w.shape[1])
 
     def pull(g):
         return (
-            np.outer(g, x_data) if w.requires_grad else None,
-            w_data.T @ g if x.requires_grad else None,
+            None if x_kept is None else np.outer(g, x_kept),
+            None if w_kept is None else w_kept.T @ g,
         )
 
-    return _result(w_data @ x_data, (w, x), pull)
+    return _result(w.data @ x.data, (w, x), pull)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    a_data, b_data = a.data, b.data
+    b_kept = b.data if a.requires_grad else None
+    a_kept = a.data if b.requires_grad else None
     _add_macs(a.shape[0] * a.shape[1] * b.shape[1])
 
     def pull(g):
         return (
-            g @ b_data.T if a.requires_grad else None,
-            a_data.T @ g if b.requires_grad else None,
+            None if b_kept is None else g @ b_kept.T,
+            None if a_kept is None else a_kept.T @ g,
         )
 
-    return _result(a_data @ b_data, (a, b), pull)
+    return _result(a.data @ b.data, (a, b), pull)
 
 
 def linear_rows(
@@ -332,8 +361,7 @@ def linear_rows(
         raise ShapeError(f"linear_rows: incompatible shapes {x.shape} vs {w.shape}")
     if bias is not None and bias.shape != (w.shape[0],):
         raise ShapeError(f"linear_rows: bias shape {bias.shape} vs out dim {w.shape[0]}")
-    x_data, w_data = x.data, w.data
-    out = x_data @ w_data.T
+    out = x.data @ w.data.T
     if bias is not None:
         out += bias.data
     if addend is not None:
@@ -342,16 +370,20 @@ def linear_rows(
         out += addend.data
     _add_macs(x.shape[0] * x.shape[1] * w.shape[0])
     inputs = tuple(t for t in (x, w, bias, addend) if t is not None)
+    # dx reads w and dw reads x; neither reads the output.
+    w_kept = w.data if x.requires_grad else None
+    x_kept = x.data if w.requires_grad else None
+    has_bias, has_addend = bias is not None, addend is not None
 
     def pull(g):
         parts = [
-            g @ w_data if x.requires_grad else None,
-            g.T @ x_data if w.requires_grad else None,
+            None if w_kept is None else g @ w_kept,
+            None if x_kept is None else g.T @ x_kept,
         ]
-        if bias is not None:
-            parts.append(g.sum(axis=0) if bias.requires_grad else None)
-        if addend is not None:
-            parts.append(g if addend.requires_grad else None)
+        if has_bias:
+            parts.append(g.sum(axis=0))
+        if has_addend:
+            parts.append(g)
         return tuple(parts)
 
     return _result(out, inputs, pull)
@@ -361,16 +393,17 @@ def weighted_sum(alpha: Tensor, rows: Tensor) -> Tensor:
     """Convex-ish combination of matrix rows: sum_i alpha_i * rows_i."""
     if alpha.data.ndim != 1 or rows.data.ndim != 2 or alpha.shape[0] != rows.shape[0]:
         raise ShapeError(f"weighted_sum: {alpha.shape} vs {rows.shape}")
-    alpha_data, rows_data = alpha.data, rows.data
+    rows_kept = rows.data if alpha.requires_grad else None
+    alpha_kept = alpha.data if rows.requires_grad else None
     _add_macs(rows.size)
 
     def pull(g):
         return (
-            rows_data @ g if alpha.requires_grad else None,
-            np.outer(alpha_data, g) if rows.requires_grad else None,
+            None if rows_kept is None else rows_kept @ g,
+            None if alpha_kept is None else np.outer(alpha_kept, g),
         )
 
-    return _result(alpha_data @ rows_data, (alpha, rows), pull)
+    return _result(alpha.data @ rows.data, (alpha, rows), pull)
 
 
 def conv_ngram(x: Tensor, w: Tensor, bias: Tensor, order: int) -> Tensor:
@@ -390,18 +423,22 @@ def conv_ngram(x: Tensor, w: Tensor, bias: Tensor, order: int) -> Tensor:
     for offset in range(order):
         out += x_data[offset : offset + m] @ w_data[offset * e : (offset + 1) * e]
     _add_macs(m * order * e * d)
+    # dx reads the filters and dw the input windows.
+    w_kept = w_data if x.requires_grad else None
+    x_kept = x_data if w.requires_grad else None
+    x_spec, w_spec = (x.shape, x_data.dtype), (w.shape, w_data.dtype)
+    bias_grad = bias.requires_grad
 
     def pull(g):
-        dx = np.zeros_like(x_data) if x.requires_grad else None
+        dx = None if w_kept is None else np.zeros(*x_spec)
         # Every filter block is written exactly once, so no zeroing.
-        dw = np.empty_like(w_data) if w.requires_grad else None
+        dw = None if x_kept is None else np.empty(*w_spec)
         for offset in range(order):
-            block = w_data[offset * e : (offset + 1) * e]
             if dx is not None:
-                dx[offset : offset + m] += g @ block.T
+                dx[offset : offset + m] += g @ w_kept[offset * e : (offset + 1) * e].T
             if dw is not None:
-                dw[offset * e : (offset + 1) * e] = x_data[offset : offset + m].T @ g
-        db = g.sum(axis=0) if bias.requires_grad else None
+                dw[offset * e : (offset + 1) * e] = x_kept[offset : offset + m].T @ g
+        db = g.sum(axis=0) if bias_grad else None
         return (dx, dw, db)
 
     return _result(out, (x, w, bias), pull)
@@ -441,6 +478,7 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
         if mem.shape != (rows, d):
             raise ShapeError(f"memory input shape {mem.shape} vs ({rows}, {d})")
     p = pre.data
+    mem_datas = tuple(mem.data for mem in mems)
     # The sigmoids are 0.5*(1 + tanh(0.5*x)), which stays finite for any x.
     # Every pass but one runs over the whole contiguous block, which numpy
     # does several times faster than over strided column blocks; the
@@ -456,11 +494,15 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
     forgets = [activated[:, (3 + j) * d : (4 + j) * d] for j in range(len(mems))]
     c_data = gate_i * cand
     term = np.empty_like(c_data)
-    for gate, mem in zip(forgets, mems):
-        np.multiply(gate, mem.data, out=term)
+    for gate, mem in zip(forgets, mem_datas):
+        np.multiply(gate, mem, out=term)
         c_data += term
     tanh_c = np.tanh(c_data)
     h_data = gate_o * tanh_c
+    # The pull reads the activations, tanh(c) and the memory inputs, never
+    # the pre-activations or c.
+    pre_grad = pre.requires_grad
+    mem_grads = tuple(mem.requires_grad for mem in mems)
 
     def pull(gh, gc):
         # total = d(loss)/dc, through h and directly.
@@ -476,15 +518,15 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
         # Upstream gradient of every gate block, then one pass times the
         # activation derivatives: s*(1-s) for the sigmoids, 1-u*u for the
         # candidate.
-        gpre = np.empty_like(p)
+        gpre = np.empty_like(activated)
         np.multiply(total, cand, out=gpre[:, :d])
         if gh is None:
             gpre[:, d : 2 * d] = 0.0
         else:
             np.multiply(gh, tanh_c, out=gpre[:, d : 2 * d])
         np.multiply(total, gate_i, out=gpre[:, 2 * d : 3 * d])
-        for j, mem in enumerate(mems):
-            np.multiply(total, mem.data, out=gpre[:, (3 + j) * d : (4 + j) * d])
+        for j, mem in enumerate(mem_datas):
+            np.multiply(total, mem, out=gpre[:, (3 + j) * d : (4 + j) * d])
         slope = np.subtract(1.0, activated)
         slope *= activated
         cand_slope = slope[:, 2 * d : 3 * d]
@@ -492,8 +534,8 @@ def tree_cell_gates(pre: Tensor, mems: Sequence[Tensor]) -> tuple[Tensor, Tensor
         np.subtract(1.0, cand_slope, out=cand_slope)
         gpre *= slope
         return (
-            gpre if pre.requires_grad else None,
-            *(total * gate if mem.requires_grad else None for gate, mem in zip(forgets, mems)),
+            gpre if pre_grad else None,
+            *(total * gate if wanted else None for gate, wanted in zip(forgets, mem_grads)),
         )
 
     return _results((h_data, c_data), (pre, *mems), pull)
@@ -510,11 +552,11 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     sizes = [p.shape[0] for p in parts]
     offsets = np.cumsum([0] + sizes)
     parts = tuple(parts)
+    wanted = tuple(p.requires_grad for p in parts)
 
     def pull(g):
         return tuple(
-            g[offsets[i] : offsets[i + 1]] if p.requires_grad else None
-            for i, p in enumerate(parts)
+            g[offsets[i] : offsets[i + 1]] if grad else None for i, grad in enumerate(wanted)
         )
 
     return _result(np.concatenate([p.data for p in parts]), parts, pull)
@@ -526,11 +568,12 @@ def _concat_axis(parts: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
     parts = tuple(parts)
+    wanted = tuple(p.requires_grad for p in parts)
 
     def pull(g):
         outs = []
-        for i, p in enumerate(parts):
-            if not p.requires_grad:
+        for i, grad in enumerate(wanted):
+            if not grad:
                 outs.append(None)
             elif axis == 0:
                 outs.append(g[offsets[i] : offsets[i + 1], :])
@@ -559,10 +602,10 @@ def split_last(x: Tensor, parts: int) -> list[Tensor]:
     chunks = [
         x.data[..., i * step : (i + 1) * step] for i in range(parts)
     ]
-    shape = x.shape
+    shape, dtype = x.shape, x.data.dtype
 
     def pull(*gs):
-        full = np.zeros(shape, dtype=x.data.dtype)
+        full = np.zeros(shape, dtype=dtype)
         for i, g in enumerate(gs):
             if g is not None:
                 full[..., i * step : (i + 1) * step] = g
@@ -622,9 +665,10 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     if not vectors or any(v.data.ndim != 1 for v in vectors):
         raise ShapeError("stack_rows expects one or more vectors")
     vectors = tuple(vectors)
+    wanted = tuple(v.requires_grad for v in vectors)
 
     def pull(g):
-        return tuple(g[i] if v.requires_grad else None for i, v in enumerate(vectors))
+        return tuple(g[i] if grad else None for i, grad in enumerate(wanted))
 
     return _result(np.stack([v.data for v in vectors]), vectors, pull)
 
@@ -706,15 +750,18 @@ def segment_weighted_sum(alpha: Tensor, rows: Tensor, bounds: Sequence[int]) -> 
         alpha_data[a:b] @ rows_data[a:b] for a, b in zip(bounds, bounds[1:])
     ])
     _add_macs(rows.size)
+    rows_kept = rows_data if alpha.requires_grad else None
+    alpha_kept = alpha_data if rows.requires_grad else None
+    alpha_spec, rows_spec = (alpha.shape, alpha_data.dtype), (rows.shape, rows_data.dtype)
 
     def pull(g):
-        da = np.empty_like(alpha_data) if alpha.requires_grad else None
-        dr = np.zeros_like(rows_data) if rows.requires_grad else None
+        da = None if rows_kept is None else np.empty(*alpha_spec)
+        dr = None if alpha_kept is None else np.zeros(*rows_spec)
         for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if da is not None:
-                da[a:b] = rows_data[a:b] @ g[i]
+                da[a:b] = rows_kept[a:b] @ g[i]
             if dr is not None:
-                dr[a:b] = np.outer(alpha_data[a:b], g[i])
+                dr[a:b] = np.outer(alpha_kept[a:b], g[i])
         return (da, dr)
 
     return _result(out, (alpha, rows), pull)
@@ -787,14 +834,20 @@ def dropout(x: Tensor, p: float, train: bool, rng: Optional[np.random.Generator]
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs a random generator")
-    keep = 1.0 - p
-    # Draws stay float64 so a seed gives the same mask in every dtype.
-    mask = ((rng.random(x.shape) >= p) / keep).astype(x.data.dtype, copy=False)
+    # Draws stay float64 so a seed gives the same mask in every dtype.  The
+    # tape keeps the boolean mask and one scalar: (v * kept) * scale has the
+    # same bits as v times the float mask 0 or scale.
+    kept = rng.random(x.shape) >= p
+    scale = x.data.dtype.type(1.0 / (1.0 - p))
 
     def pull(g):
-        return (g * mask,)
+        grad = g * kept
+        grad *= scale
+        return (grad,)
 
-    return _result(x.data * mask, (x,), pull)
+    out = x.data * kept
+    out *= scale
+    return _result(out, (x,), pull)
 
 
 # ---------------------------------------------------------------------------

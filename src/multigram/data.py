@@ -105,7 +105,7 @@ def load_corpus(
 ) -> Corpus:
     """Read a ``label<TAB>text`` TSV.  When ``label_names`` is given, any
     other label is an error; otherwise labels are collected and sorted."""
-    raw: list[tuple[str, list[str]]] = []
+    raw: list[tuple[int, str, list[str]]] = []  # (file line, label, tokens)
     for lineno, line in read_lines(path, "corpus"):
         if not line.strip():
             continue
@@ -115,17 +115,17 @@ def load_corpus(
         tokens = tokenize(text)
         if not tokens:
             raise DataError(f"{path}:{lineno}: document is empty after tokenization")
-        raw.append((label, tokens))
+        raw.append((lineno, label, tokens))
     if not raw:
         raise DataError(f"corpus file is empty: {path}")
 
     if label_names is None:
-        names = sorted({label for label, _ in raw})
+        names = sorted({label for _, label, _ in raw})
     else:
         names = list(label_names)
     index = {name: i for i, name in enumerate(names)}
     labels = []
-    for lineno, (label, _) in enumerate(raw, start=1):
+    for lineno, label, _ in raw:
         if label not in index:
             raise DataError(f"{path}:{lineno}: unknown label {label!r}")
         labels.append(index[label])
@@ -135,13 +135,13 @@ def load_corpus(
         lines = [(lineno, ln) for lineno, ln in read_lines(parse_path, "parse") if ln.strip()]
         if len(lines) != len(raw):
             raise DataError(f"{parse_path}: {len(lines)} parses for {len(raw)} documents")
-        for (lineno, parse), (_, tokens) in zip(lines, raw):
+        for (lineno, parse), (_, _, tokens) in zip(lines, raw):
             try:
                 read_bracketing(parse, len(tokens))
             except BracketingError as exc:
                 raise DataError(f"{parse_path}:{lineno}: {exc}") from None
         parses = [parse for _, parse in lines]
-    return Corpus([tokens for _, tokens in raw], labels, names, parses)
+    return Corpus([tokens for _, _, tokens in raw], labels, names, parses)
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -52,9 +52,6 @@ class TreeLstmParams:
     def hidden_dim(self) -> int:
         return self.w.shape[0] // gate_count(2)
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.u_left, self.u_right, self.bias]
-
 
 def glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -225,12 +222,6 @@ class BiLstmParams:
     forward: LstmDirectionParams
     backward: LstmDirectionParams
 
-    def tensors(self) -> list[Tensor]:
-        return [
-            self.forward.w, self.forward.u, self.forward.bias,
-            self.backward.w, self.backward.u, self.backward.bias,
-        ]
-
 
 def init_bilstm_params(
     store: ParamStore, prefix: str, embed_dim: int, hidden_dim: int, rng: np.random.Generator
@@ -303,9 +294,6 @@ class CnnParams:
     @property
     def max_order(self) -> int:
         return len(self.filters)
-
-    def tensors(self) -> list[Tensor]:
-        return [*self.filters, *self.biases]
 
 
 def init_cnn_params(

@@ -207,13 +207,6 @@ class TextClassifier:
         """Trainable parameters; the frozen embedding matrix is excluded."""
         return self.store.total_size()
 
-    def encoder_parameter_count(self) -> int:
-        if self.config.encoder == "biforest":
-            sides = [*self.left_params.tensors(), *self.right_params.tensors()]
-            return sum(t.size for t in sides)
-        params = self.tree_params or self.bilstm_params or self.cnn_params
-        return sum(t.size for t in params.tensors())
-
 
 def count_parameters(config: ModelConfig) -> int:
     """Exact trainable-parameter count for a model configuration."""

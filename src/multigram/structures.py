@@ -64,12 +64,6 @@ class NgramDag:
     levels: tuple[tuple[int, ...], ...]
     spans: tuple[Span, ...]  # spans[i] is nodes[i].span
 
-    def node_for_span(self, start: int, order: int) -> NgramNode:
-        for node in self.nodes:
-            if node.span.start == start and node.span.order == order:
-                return node
-        raise KeyError(f"no node with span ({start}, {order})")
-
 
 @cache
 def ngram_spans(n: int, max_order: int) -> tuple[Span, ...]:

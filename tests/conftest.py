@@ -40,6 +40,14 @@ def random_embeddings(n, embed_dim, seed=0, scale=0.5):
     return Tensor(np.random.default_rng(seed).normal(scale=scale, size=(n, embed_dim)))
 
 
+def node_for_span(dag, start, order):
+    """The node of ``dag`` covering ``order`` tokens from ``start``."""
+    for node in dag.nodes:
+        if node.span.start == start and node.span.order == order:
+            return node
+    raise KeyError(f"no node with span ({start}, {order})")
+
+
 def rewrite_checkpoint_header(path, header: dict) -> None:
     """Replace the JSON header of the checkpoint at ``path``, keeping its blobs."""
     import json

@@ -38,6 +38,8 @@ from multigram.training import (
     train,
 )
 
+from conftest import node_for_span
+
 
 def verdict(number, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -91,11 +93,11 @@ def test_criterion_1_structure_correctness():
 
     # The four-token running example, verbatim.
     pyramid = build_structure("pyramid", ["w1", "w2", "w3", "w4"], 4)
-    trigram = pyramid.node_for_span(0, 3)
+    trigram = node_for_span(pyramid, 0, 3)
     left, right = trigram.children
     assert {pyramid.nodes[left].span, pyramid.nodes[right].span} == {
-        pyramid.node_for_span(0, 2).span,
-        pyramid.node_for_span(1, 2).span,
+        node_for_span(pyramid, 0, 2).span,
+        node_for_span(pyramid, 1, 2).span,
     }
     assert unfold_tokens(pyramid, trigram.id) == Counter({0: 1, 1: 2, 2: 1})
     elapsed = time.perf_counter() - started

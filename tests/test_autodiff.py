@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +141,70 @@ class TestBackwardBasics:
         with Tape() as tape:
             tape.backward(ad.dot(x, x), seed=0.5)
         np.testing.assert_allclose(x.grad, [2.0])
+
+    def test_dropped_temporaries_give_the_same_gradients_as_kept_ones(self):
+        # Records keep keys, not tensors, so the temporaries below are freed
+        # during the forward pass and CPython hands their ids to the leaves
+        # made after them; a leaf must not pass for a freed intermediate.
+        x = Tensor(RNG.normal(size=6), requires_grad=True)
+
+        def forward(kept):
+            h, leaves = x, [x]
+            for i in range(100):
+                t = ad.tanh(h)
+                u = ad.mul(t, ad.scale(h, 0.3))
+                h = ad.add(ad.scale(h, 0.5), u)
+                leaf = Tensor(np.full(6, 0.01 * i), requires_grad=True)
+                h = ad.add(h, leaf)
+                leaves.append(leaf)
+                if kept is not None:
+                    kept.extend((t, u, h))
+            return ad.sum_all(h), leaves
+
+        grads = []
+        for kept in (None, []):
+            x.grad = None
+            with Tape() as tape:
+                loss, leaves = forward(kept)
+                tape.backward(loss)
+            grads.append([leaf.grad for leaf in leaves])
+        assert all(g is not None for g in grads[0])
+        for dropped, held in zip(*grads):
+            np.testing.assert_array_equal(dropped, held)
+
+
+class TestTapeRetention:
+    """A record holds only what its gradient formula reads; every other
+    intermediate array is freed once the forward pass drops it."""
+
+    def forward(self, x, w, bias, mem, other, refs):
+        pre = ad.linear_rows(x, w, bias)
+        h, c = ad.tree_cell_gates(pre, (mem,))  # c is not used, as in hidden mode
+        joined = ad.concat_rows([h, other])
+        refs.extend(weakref.ref(t.data) for t in (pre, c, joined))
+        return ad.sum_all(ad.tanh(joined))
+
+    def test_unread_arrays_die_while_the_tape_lives_and_backward_is_exact(self):
+        d, e, rows = 3, 4, 5
+        x = Tensor(RNG.normal(size=(rows, e)), requires_grad=True)
+        gates = ad.gate_count(1)
+        w = Tensor(RNG.normal(size=(gates * d, e)) * 0.5, requires_grad=True)
+        bias = Tensor(RNG.normal(size=gates * d), requires_grad=True)
+        mem = Tensor(RNG.normal(size=(rows, d)), requires_grad=True)
+        other = Tensor(RNG.normal(size=(2, d)), requires_grad=True)
+        inputs = [x, w, bias, mem, other]
+        refs = []
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            loss = self.forward(*inputs, refs)
+        gc.collect()
+        assert len(refs) == 3
+        assert [r() for r in refs] == [None] * 3  # pre-activation, c, concatenation
+        tape.backward(loss)
+        for t in inputs:
+            numeric = finite_difference(lambda: self.forward(*inputs, []), t)
+            np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -332,6 +400,24 @@ class TestDropout:
             return ad.sum_all(ad.tanh(ad.dropout(x, 0.25, True, np.random.default_rng(3))))
 
         assert_matches_fd(f, [x])
+
+    def test_tape_keeps_a_boolean_mask_not_a_float_one(self):
+        x = Tensor(np.ones((500, 200)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = ad.sum_all(ad.dropout(x, 0.5, True, np.random.default_rng(0)))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A float64 mask, or the dropped-out output, would hold x.nbytes;
+        # the boolean mask holds an eighth of it.
+        assert x.data.nbytes / 8 <= held < x.data.nbytes / 4
+        tape.backward(loss)
+        kept = np.random.default_rng(0).random(x.shape) >= 0.5
+        np.testing.assert_array_equal(x.grad, kept / 0.5)
 
 
 class TestCheckGradients:

@@ -61,6 +61,11 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="unknown label"):
             load_corpus(path, label_names=["a", "b"])
 
+    def test_unknown_label_names_its_file_line_after_blank_lines(self, tmp_path):
+        path = write(tmp_path, "lab.tsv", "\n\na\tx y\nzzz\tq r\n")
+        with pytest.raises(DataError, match=r"lab\.tsv:4: unknown label 'zzz'"):
+            load_corpus(path, label_names=["a", "b"])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_corpus(tmp_path / "absent.tsv")

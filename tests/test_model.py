@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from multigram import autodiff as ad
 from multigram.autodiff import Tape, Tensor, check_gradients
 from multigram.data import Vocab
 from multigram.errors import DataError
@@ -27,6 +31,12 @@ def build_model(encoder="leftforest", classes=3, embed_dim=6, hidden_dim=4,
     )
     labels = [f"c{i}" for i in range(classes)]
     return TextClassifier(config, vocab, labels, embeddings, init_seed=7)
+
+
+def encoder_parameter_count(model):
+    """Trainable parameters of the encoder alone (attention and classifier
+    excluded)."""
+    return sum(t.size for name, t in model.store.items() if name.startswith("encoder."))
 
 
 ALL_ENCODERS = ("pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
@@ -128,6 +138,48 @@ class TestFullModelGradients:
         report = check_gradients(closure, model.store, max_coords=12)
         assert report.ok, report.per_tensor
 
+    @pytest.mark.parametrize("encoder", ["leftforest", "pyramid", "biforest"])
+    def test_training_tape_keeps_no_array_backward_does_not_read(self, encoder, monkeypatch):
+        # Gate pre-activations (linear_rows outputs), the cells' c in hidden
+        # mode and the unit matrix concatenation are read by no gradient
+        # formula, so they die when the forward pass drops them.
+        refs = []
+
+        def watch(name, arrays_of):
+            original = getattr(ad, name)
+
+            def watched(*args, **kwargs):
+                result = original(*args, **kwargs)
+                refs.extend(weakref.ref(a) for a in arrays_of(args, result))
+                return result
+
+            monkeypatch.setattr(ad, name, watched)
+
+        watch("linear_rows", lambda args, out: [out.data])
+        watch("tree_cell_gates", lambda args, out: [args[0].data, out[1].data])
+        watch("concat_rows", lambda args, out: [out.data])
+        model = build_model(encoder=encoder, dropout=0.3)
+        ids = model.vocab.encode(["alpha", "beta", "gamma", "delta", "alpha"])
+
+        def closure():
+            _, loss = model.forward_doc(ids, gold=2, train=True, rng=np.random.default_rng(4))
+            return loss
+
+        model.store.zero_grad()
+        with Tape() as tape:
+            loss = closure()
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        tape.backward(loss)
+        taped = {name: t.grad for name, t in model.store.items()}
+        report = check_gradients(closure, model.store, max_coords=12)
+        assert report.ok, report.per_tensor
+        for name, t in model.store.items():
+            if taped[name] is None:
+                assert t.grad is None, name
+            else:
+                np.testing.assert_array_equal(t.grad, taped[name], err_msg=name)
+
 
 class TestParameterCounts:
     def test_reference_scale_tree_lstm_count(self):
@@ -135,8 +187,8 @@ class TestParameterCounts:
         model = build_model(
             encoder="leftforest", embed_dim=300, hidden_dim=100, max_order=7
         )
-        assert model.encoder_parameter_count() == 5 * (300 * 100 + 100 * 100 + 100 * 100 + 100)
-        assert model.encoder_parameter_count() == 250_500
+        assert encoder_parameter_count(model) == 5 * (300 * 100 + 100 * 100 + 100 * 100 + 100)
+        assert encoder_parameter_count(model) == 250_500
 
     def test_forest_count_constant_in_max_order(self):
         counts = {
@@ -248,14 +300,23 @@ class TestFloat32Path:
                                        err_msg=name)
 
     @pytest.mark.parametrize("encoder", ENCODER_KINDS)
-    def test_no_float64_anywhere_on_the_float32_path(self, encoder):
+    def test_no_float64_anywhere_on_the_float32_path(self, encoder, monkeypatch):
         model = build_model(encoder=encoder, dtype=np.float32)
         assert all(t.data.dtype == np.float32 for _, t in model.store.items())
+        # Records keep output keys, not tensors: see every output as it is
+        # recorded.
+        recorded = []
+        record = Tape._record
+
+        def spy(tape, outputs, inputs, pull):
+            recorded.extend(t.data.dtype for t in outputs)
+            return record(tape, outputs, inputs, pull)
+
+        monkeypatch.setattr(Tape, "_record", spy)
         tape, loss, outputs, grads = self.batch_pass(model)
         assert loss.data.dtype == np.float32
-        for record_outputs, _, _ in tape._records:
-            for tensor in record_outputs:
-                assert tensor.data.dtype == np.float32
+        assert len(recorded) >= len(tape) > 0
+        assert all(dtype == np.float32 for dtype in recorded)
         for alpha, probs in outputs:
             assert probs.dtype == np.float32
             assert alpha is None or alpha.dtype == np.float32

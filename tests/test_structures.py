@@ -17,6 +17,8 @@ from multigram.structures import (
     unfold_tokens,
 )
 
+from conftest import node_for_span
+
 TOKENS4 = ["w1", "w2", "w3", "w4"]
 NGRAM_KINDS = ("pyramid", "leftforest", "rightforest")
 
@@ -26,7 +28,7 @@ def spans_of(dag):
 
 
 def children_spans(dag, start, order):
-    node = dag.node_for_span(start, order)
+    node = node_for_span(dag, start, order)
     left, right = node.children
     ls, rs = dag.nodes[left].span, dag.nodes[right].span
     return (ls.start, ls.order), (rs.start, rs.order)
@@ -66,12 +68,12 @@ class TestFourTokenInstances:
 
     def test_pyramid_reuses_middle_token_twice(self):
         dag = build_structure("pyramid", TOKENS4, 4)
-        node = dag.node_for_span(0, 3)
+        node = node_for_span(dag, 0, 3)
         assert unfold_tokens(dag, node.id) == Counter({0: 1, 1: 2, 2: 1})
 
     def test_leftforest_unfolds_each_token_once(self):
         dag = build_structure("leftforest", TOKENS4, 4)
-        node = dag.node_for_span(0, 3)
+        node = node_for_span(dag, 0, 3)
         assert unfold_tokens(dag, node.id) == Counter({0: 1, 1: 1, 2: 1})
 
 
@@ -209,15 +211,15 @@ class TestSchedule:
 class TestNgramText:
     def test_inner_bigram(self):
         dag = build_structure("pyramid", list("abcd"), 4)
-        assert ngram_text(dag, dag.node_for_span(1, 2).id, list("abcd")) == ["b", "c"]
+        assert ngram_text(dag, node_for_span(dag, 1, 2).id, list("abcd")) == ["b", "c"]
 
     def test_whole_sentence(self):
         dag = build_structure("pyramid", list("abcd"), 4)
-        assert ngram_text(dag, dag.node_for_span(0, 4).id, list("abcd")) == list("abcd")
+        assert ngram_text(dag, node_for_span(dag, 0, 4).id, list("abcd")) == list("abcd")
 
     def test_last_unigram(self):
         dag = build_structure("pyramid", list("abcd"), 4)
-        assert ngram_text(dag, dag.node_for_span(3, 1).id, list("abcd")) == ["d"]
+        assert ngram_text(dag, node_for_span(dag, 3, 1).id, list("abcd")) == ["d"]
 
 
 class TestBracketing:

@@ -1,9 +1,12 @@
 """The benchmark's traced run (``perfbench/measure.py --trace 1``) wraps the
 program's layer functions and methods by name and stops on any it cannot
 find.  Installing its tracer here turns a renamed or deleted traced name
-into a failing test."""
+into a failing test, and a traced training step checks that the tape's
+hooks still report backward work."""
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -13,3 +16,30 @@ import measure  # noqa: E402
 def test_benchmark_tracer_finds_every_traced_name():
     tracer = measure.install_tracer(measure.Modules())
     tracer.uninstall()
+
+
+def test_traced_training_step_records_backward_spans_and_tape_size():
+    # The tracer wraps Tape._record's pulls and reads len(tape) in
+    # Tape.backward; a record layout that broke either would leave the
+    # backward metrics at 0 without an error.
+    mg = measure.Modules()
+    vocab = mg.data.Vocab.build([["a", "b", "c"]])
+    embeddings = mg.autodiff.Tensor(
+        np.random.default_rng(0).normal(size=(len(vocab), 6)).astype(np.float32)
+    )
+    config = mg.model.ModelConfig(encoder="leftforest", num_classes=2, embed_dim=6,
+                                  hidden_dim=4, attention_dim=3, max_order=3)
+    model = mg.model.TextClassifier(config, vocab, ["x", "y"], embeddings)
+    tracer = measure.install_tracer(mg)
+    try:
+        with mg.autodiff.Tape() as tape:
+            _, loss = model.forward_doc(vocab.encode(["a", "b", "c", "a"]), gold=1,
+                                        train=True, rng=np.random.default_rng(1))
+            tape.backward(loss)
+    finally:
+        tracer.uninstall()
+    totals = tracer.aggregate(0, 2**63)
+    for primitive in ("linear_rows", "tree_cell_gates", "concat_rows", "dropout"):
+        assert totals[f"autodiff.{primitive}_backward_calls"] >= 1, primitive
+    assert totals["autodiff.backward_calls"] == 1
+    assert totals["autodiff.tape_records"] == len(tape) > 0
