@@ -10,7 +10,7 @@ extracted evidence carries.
 """
 
 from .attention import ModelOutput
-from .autodiff import ParamStore, Tape, Tensor, check_gradients
+from .autodiff import ParamStore, Tape, Tensor
 from .data import (
     Corpus,
     Vocab,

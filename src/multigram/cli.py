@@ -22,10 +22,12 @@ from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_hi
 from .structures import build_structure, structure_records
 from .synthetic import make_planted_corpus
 from .training import (
+    EncodedDocs,
     TrainConfig,
     bench_tsv,
     benchmark,
     evaluate,
+    forward_chunks,
     prepare_bundle,
     train,
 )
@@ -172,6 +174,7 @@ def build_parser() -> _Parser:
     _add_train_flags(p_fid)
     p_fid.add_argument("--checkpoint", required=True)
     p_fid.add_argument("--corpus", required=True)
+    p_fid.add_argument("--parses", help="bracketed trees aligned with the corpus")
     p_fid.add_argument("--n-values", dest="n_values", default="1,2,3,4,5,6,7,8,9,10,20,30,40,50")
     p_fid.add_argument("--output")
 
@@ -229,10 +232,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_for_eval(args, model, seed: int):
-    from .training import EncodedDocs  # local import to keep module graph simple
+def _checkpoint_corpus(args, model):
+    """The corpus a loaded checkpoint runs on, with its parses; a ``tree``
+    checkpoint without ``--parses`` is a usage error."""
+    if model.config.encoder == "tree" and not args.parses:
+        raise UsageError(f"{args.command}: a tree checkpoint needs --parses")
+    return load_corpus(args.corpus, label_names=model.label_names, parse_path=args.parses)
 
-    corpus = load_corpus(args.corpus, label_names=model.label_names, parse_path=args.parses)
+
+def _split_for_eval(args, model, seed: int):
+    corpus = _checkpoint_corpus(args, model)
     if args.split == "all":
         return EncodedDocs.from_corpus(corpus, model.vocab)
     from .data import split_stratified
@@ -262,15 +271,12 @@ def cmd_explain(args) -> int:
     model = load_checkpoint(args.checkpoint)
     echo_config("explain", None, args,
                 extra={"threshold": args.threshold, "format": args.format})
-    corpus = load_corpus(args.corpus, label_names=model.label_names, parse_path=args.parses)
+    docs = EncodedDocs.from_corpus(_checkpoint_corpus(args, model), model.vocab)
     out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     suffix = "html" if args.format == "html" else "txt"
-    for i, tokens in enumerate(corpus.documents):
-        ids = model.vocab.encode(tokens)
-        parse = corpus.parses[i] if corpus.parses else None
-        output, _ = model.forward_doc(ids, parse=parse)
+    for i, (tokens, output) in enumerate(zip(docs.tokens, forward_chunks(model, docs))):
         report = extract_evidence(
             output, tokens, model.label_names[output.predicted], args.threshold
         )
@@ -290,13 +296,13 @@ def cmd_explain(args) -> int:
 
 def cmd_fidelity(args) -> int:
     from .data import split_stratified
-    from .training import DataBundle, EncodedDocs
+    from .training import DataBundle
 
     config = resolve_train_config(args)
     n_values = _positive_ints("--n-values", args.n_values)
     model = load_checkpoint(args.checkpoint)
     echo_config("fidelity", config, args, extra={"n_values": args.n_values})
-    corpus = load_corpus(args.corpus, label_names=model.label_names)
+    corpus = _checkpoint_corpus(args, model)
     # Reduced texts must be encoded with the checkpoint's own vocabulary.
     train_c, dev_c, test_c = split_stratified(corpus, seed=config.seed)
     bundle = DataBundle(

@@ -90,8 +90,148 @@ def _memoryless_cell(
     return ad.tree_cell_gates(pre, ())
 
 
-def _check_alignment(dag: NgramDag, token_embeddings: Tensor) -> None:
-    if token_embeddings.data.ndim != 2 or token_embeddings.shape[0] != dag.token_count:
+def _unigram_map(leaf_h: Tensor, params: TreeLstmParams, side: int) -> Tensor:
+    """The five state maps of a forest's shared side, whose child is one
+    token at every order, with the gate bias folded in."""
+    return ad.linear_rows(leaf_h, (params.u_left, params.u_right)[side], params.bias)
+
+
+# ---------------------------------------------------------------------------
+# The per-token first layer
+# ---------------------------------------------------------------------------
+
+
+class TokenRows:
+    """The rows an encoder's first layer gives each token position.
+
+    Units are context-free, so every encoder's first layer reads one token
+    only: tree-LSTM leaf states and the forests' shared unigram map, the
+    CNN's filter products and the BiLSTM's input maps.  ``TokenRows(x)``
+    computes them from ``x``, one embedding row per token occurrence; this
+    is the arithmetic of training and of gradient checks.
+    ``TokenTable.rows_at`` reads the same rows from a table computed once
+    per distinct token.  Every encoder takes token rows or a bare embedding
+    matrix, which it wraps in ``TokenRows``.
+    """
+
+    def __init__(self, x: Tensor):
+        self.x = x
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.x.shape
+
+    def leaves(
+        self, params: TreeLstmParams, cells: bool, shared: int | None = None
+    ) -> tuple[Tensor, Tensor | None, Tensor | None]:
+        """Tree-LSTM leaf ``(h, c, unigram map)``.  ``cells`` says whether
+        the caller reads ``c``; the unigram map is that of side ``shared``,
+        or None when no side is shared."""
+        h, c = _memoryless_cell(self.x, params)
+        return h, c, None if shared is None else _unigram_map(h, params, shared)
+
+    def ngram_conv(self, params: CnnParams, order: int) -> Tensor:
+        """Pre-activations of the order-``order`` filters, one row per window."""
+        return ad.conv_ngram(self.x, params.filters[order - 1], params.biases[order - 1], order)
+
+    def lstm_start(
+        self, params: LstmDirectionParams, steps: np.ndarray, batch: int
+    ) -> tuple[Tensor, Tensor, Tensor]:
+        """One BiLSTM direction's first-step ``(h, c)`` and the input maps
+        of its later steps; ``steps`` lists the positions step-major in
+        processing order, so its first ``batch`` entries are the first
+        step.  The later maps run as one product ahead of the recurrence."""
+        x_steps = ad.row_lookup(self.x, steps)
+        h, c = _memoryless_cell(ad.slice_rows(x_steps, 0, batch), params)
+        maps = ad.linear_rows(ad.slice_rows(x_steps, batch, len(steps)), params.w, params.bias)
+        return h, c, maps
+
+
+class TokenTable:
+    """An encoder's first layer evaluated once per distinct token.
+
+    ``x`` holds one embedding row per distinct token.  Each block (leaf
+    states, a unigram map, one filter product per order and offset, an
+    input map) is computed on first use through the same ``autodiff``
+    products as ``TokenRows`` and then kept, so the table holds distinct
+    tokens x first-layer width values.  ``rows_at`` reads one document's
+    rows from it by token position.  Reads copy plain arrays and record
+    nothing on a tape: a table serves inference only.
+    """
+
+    def __init__(self, x: Tensor):
+        self.x = x
+        self._blocks: dict[tuple, object] = {}
+
+    def block(self, key: tuple, compute):
+        if key not in self._blocks:
+            self._blocks[key] = compute()
+        return self._blocks[key]
+
+    def rows_at(self, positions: np.ndarray) -> "TokenRows":
+        """The first-layer rows of a document whose token ``i`` is the
+        table's distinct token ``positions[i]``."""
+        return _TableRows(self, positions)
+
+
+class _TableRows(TokenRows):
+    """``TokenRows`` read from a ``TokenTable`` by token position."""
+
+    def __init__(self, table: TokenTable, positions: np.ndarray):
+        self.table = table
+        self.positions = positions
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.positions), self.table.x.shape[1])
+
+    def leaves(self, params, cells, shared=None):
+        table = self.table
+
+        def leaf_block():
+            h, c = _memoryless_cell(table.x, params)
+            return h, c if cells else None
+
+        h, c = table.block(("leaves", id(params), cells), leaf_block)
+        proj = None if shared is None else table.block(
+            ("unigram", id(params), shared), lambda: _unigram_map(h, params, shared)
+        )
+        return tuple(None if t is None else Tensor(t.data[self.positions]) for t in (h, c, proj))
+
+    def ngram_conv(self, params, order):
+        # Window i is bias + sum over offsets o of T[order, o][token i + o],
+        # added in conv_ngram's order.
+        table, e = self.table, self.table.x.shape[1]
+        filters = params.filters[order - 1].data
+        m = len(self.positions) - order + 1
+        out = np.tile(params.biases[order - 1].data, (m, 1))
+        for offset in range(order):
+            block = table.block(
+                ("filter", id(params), order, offset),
+                lambda: ad.linear_rows(table.x, Tensor(filters[offset * e : (offset + 1) * e].T)),
+            )
+            out += block.data[self.positions[offset : offset + m]]
+        return Tensor(out)
+
+    def lstm_start(self, params, steps, batch):
+        # The first step's memoryless cell reads the leading three gate
+        # blocks of the same full input maps.
+        table = self.table
+        maps = table.block(
+            ("input", id(params)), lambda: ad.linear_rows(table.x, params.w, params.bias)
+        )
+        rows = self.positions[steps]
+        live = gate_count(0) * params.hidden_dim
+        h, c = ad.tree_cell_gates(Tensor(maps.data[rows[:batch], :live]), ())
+        return h, c, Tensor(maps.data[rows[batch:]])
+
+
+def _token_rows(x: Tensor | TokenRows) -> TokenRows:
+    return x if isinstance(x, TokenRows) else TokenRows(x)
+
+
+def _check_alignment(dag: NgramDag, token_embeddings: Tensor | TokenRows) -> None:
+    if len(token_embeddings.shape) != 2 or token_embeddings.shape[0] != dag.token_count:
         raise ShapeError(
             f"embedding rows {token_embeddings.shape} do not align with "
             f"{dag.token_count} tokens"
@@ -100,7 +240,7 @@ def _check_alignment(dag: NgramDag, token_embeddings: Tensor) -> None:
 
 def encode_dag(
     dag: NgramDag,
-    token_embeddings: Tensor,
+    token_embeddings: Tensor | TokenRows,
     params: TreeLstmParams,
     memory_update: str = "hidden",
 ) -> EncoderOutput:
@@ -113,22 +253,23 @@ def encode_dag(
     if memory_update not in MEMORY_UPDATES:
         raise ValueError(f"memory_update must be one of {MEMORY_UPDATES}, got {memory_update!r}")
     _check_alignment(dag, token_embeddings)
+    rows = _token_rows(token_embeddings)
     if dag.kind == "tree":
-        return _encode_tree(dag, token_embeddings, params, memory_update)
-    return _encode_ngram(dag, token_embeddings, params, memory_update)
+        return _encode_tree(dag, rows, params, memory_update)
+    return _encode_ngram(dag, rows, params, memory_update)
 
 
-def _encode_ngram(dag, token_embeddings, params, memory_update):
+def _encode_ngram(dag, first, params, memory_update):
     n = dag.token_count
     u = (params.u_left, params.u_right)
-    leaf_h, leaf_c = _memoryless_cell(token_embeddings, params)
-    h_levels, c_levels = [leaf_h], [leaf_c]
     # A side whose child is a unigram at every order (the forests' shared
     # side) has its child-state projection, with the gate bias folded in,
-    # computed once per document and sliced per level.
+    # computed with the leaves, once for every token, and sliced per level.
     shared = next((i for i, side in enumerate(child_rows(dag.kind, 2)) if side.unigram), None)
-    if shared is not None and len(dag.levels) >= 2:
-        unigram_proj = ad.linear_rows(leaf_h, u[shared], params.bias)
+    leaf_h, leaf_c, unigram_proj = first.leaves(
+        params, memory_update == "cell", shared if len(dag.levels) >= 2 else None
+    )
+    h_levels, c_levels = [leaf_h], [leaf_c]
     for order in range(2, len(dag.levels) + 1):
         m = n - order + 1
         sides = child_rows(dag.kind, order)
@@ -158,9 +299,9 @@ def _encode_ngram(dag, token_embeddings, params, memory_update):
     return EncoderOutput(full, dag.spans)
 
 
-def _encode_tree(dag, token_embeddings, params, memory_update):
+def _encode_tree(dag, first, params, memory_update):
     track_c = memory_update == "cell"
-    h_all, c_all = _memoryless_cell(token_embeddings, params)
+    h_all, c_all, _ = first.leaves(params, track_c)
     for level in dag.levels[1:]:
         left_ids = np.array([dag.nodes[i].children[0] for i in level], dtype=np.intp)
         right_ids = np.array([dag.nodes[i].children[1] for i in level], dtype=np.intp)
@@ -183,7 +324,7 @@ def _encode_tree(dag, token_embeddings, params, memory_update):
 
 
 def encode_bi_forest(
-    token_embeddings: Tensor,
+    token_embeddings: Tensor | TokenRows,
     left_params: TreeLstmParams,
     right_params: TreeLstmParams,
     max_order: int,
@@ -241,18 +382,15 @@ def init_bilstm_params(
 
 
 def _lstm_direction(
-    x_stacked: Tensor, batch: int, length: int, params: LstmDirectionParams, reverse: bool
+    rows: TokenRows, batch: int, length: int, params: LstmDirectionParams, reverse: bool
 ) -> Tensor:
-    """Run one direction over a (batch*length, e) doc-major block; returns
-    hidden states doc-major, (batch*length, dir).  Rows are gathered
-    step-major in processing order, and the input maps of all steps after
-    the first run as one product ahead of the recurrence."""
+    """Run one direction over (batch*length) doc-major token rows; returns
+    hidden states doc-major, (batch*length, dir).  Rows are read step-major
+    in processing order."""
     steps = np.arange(length - 1, -1, -1) if reverse else np.arange(length)
     order = (steps[:, None] + np.arange(batch) * length).ravel()
-    x_steps = ad.row_lookup(x_stacked, order)
-    h, c = _memoryless_cell(ad.slice_rows(x_steps, 0, batch), params)
+    h, c, x_maps = rows.lstm_start(params, order, batch)
     outputs = [h]
-    x_maps = ad.linear_rows(ad.slice_rows(x_steps, batch, batch * length), params.w, params.bias)
     for j in range(1, length):
         step_map = ad.slice_rows(x_maps, (j - 1) * batch, j * batch)
         h, c = ad.tree_cell_gates(ad.linear_rows(h, params.u, addend=step_map), (c,))
@@ -261,7 +399,7 @@ def _lstm_direction(
 
 
 def bilstm_encode_batch(
-    x_stacked: Tensor, batch: int, length: int, params: BiLstmParams
+    x_stacked: Tensor | TokenRows, batch: int, length: int, params: BiLstmParams
 ) -> Tensor:
     """Doc-major (batch*length, 2*dir) hidden matrix for same-length docs."""
     if length < 1:
@@ -270,12 +408,13 @@ def bilstm_encode_batch(
         raise ShapeError(
             f"x has {x_stacked.shape[0]} rows, expected batch {batch} x length {length}"
         )
-    fwd = _lstm_direction(x_stacked, batch, length, params.forward, reverse=False)
-    bwd = _lstm_direction(x_stacked, batch, length, params.backward, reverse=True)
+    rows = _token_rows(x_stacked)
+    fwd = _lstm_direction(rows, batch, length, params.forward, reverse=False)
+    bwd = _lstm_direction(rows, batch, length, params.backward, reverse=True)
     return ad.concat_cols([fwd, bwd])
 
 
-def bilstm_encode(token_embeddings: Tensor, params: BiLstmParams) -> EncoderOutput:
+def bilstm_encode(token_embeddings: Tensor | TokenRows, params: BiLstmParams) -> EncoderOutput:
     n = token_embeddings.shape[0]
     h = bilstm_encode_batch(token_embeddings, 1, n, params)
     return EncoderOutput(h, ngram_spans(n, 1))
@@ -311,14 +450,14 @@ def init_cnn_params(
     return CnnParams(filters, biases)
 
 
-def cnn_encode(token_embeddings: Tensor, params: CnnParams) -> EncoderOutput:
+def cnn_encode(token_embeddings: Tensor | TokenRows, params: CnnParams) -> EncoderOutput:
     """One tanh convolution per ngram order; unit set equals the ngram span
     set, so attention is comparable like-for-like with the forests."""
     n = token_embeddings.shape[0]
+    rows = _token_rows(token_embeddings)
     blocks = []
     for k in range(1, min(params.max_order, n) + 1):
-        conv = ad.conv_ngram(token_embeddings, params.filters[k - 1], params.biases[k - 1], k)
-        blocks.append(ad.tanh(conv))
+        blocks.append(ad.tanh(rows.ngram_conv(params, k)))
     h = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
     return EncoderOutput(h, ngram_spans(n, params.max_order))
 

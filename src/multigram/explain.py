@@ -26,6 +26,7 @@ from .training import (
     TrainConfig,
     derive_rng,
     evaluate,
+    forward_chunks,
     train,
 )
 
@@ -180,9 +181,7 @@ def fidelity_tsv(rows: Sequence[FidelityRow]) -> str:
 
 
 def _collect_alphas(model: TextClassifier, docs: EncodedDocs) -> list[ModelOutput]:
-    return [
-        model.forward_doc(docs.ids[i], parse=docs.parse_for(i))[0] for i in range(len(docs))
-    ]
+    return list(forward_chunks(model, docs))
 
 
 def _reduced_corpus(

@@ -23,7 +23,7 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import build_structure, ngram_dag
+from .structures import build_structure, ngram_dag, ngram_spans
 
 ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
 FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -119,7 +119,7 @@ class TextClassifier:
 
     # -- structure plumbing -------------------------------------------------
 
-    def _encode(self, x: Tensor, parse: Optional[str]) -> enc.EncoderOutput:
+    def _encode(self, x: Tensor | enc.TokenRows, parse: Optional[str]) -> enc.EncoderOutput:
         kind = self.config.encoder
         n = x.shape[0]
         mu = self.config.memory_update
@@ -162,7 +162,11 @@ class TextClassifier:
         """Classify one document; returns the numeric output and, when a gold
         label is given, the scalar loss tensor for backward."""
         x = self._embed(token_ids, train, rng)
-        encoded = self._encode(x, parse)
+        return self._head(self._encode(x, parse), gold, train, rng)
+
+    def _head(
+        self, encoded: enc.EncoderOutput, gold, train, rng
+    ) -> tuple[ModelOutput, Optional[Tensor]]:
         h = ad.dropout(encoded.h, self.config.dropout, train, rng)
         alpha, text_vector = attention_pool(h, self.attention)
         pooled = ad.dropout(text_vector, self.config.dropout, train, rng)
@@ -192,6 +196,13 @@ class TextClassifier:
         assert self.config.encoder == "bilstm"
         batch, length = ids_batch.shape
         x = self._embed(ids_batch.reshape(-1), train, rng)
+        loss, _, _, logits, probs = self._bilstm_batch(x, batch, length, golds, train, rng)
+        return loss, np.array(logits.data), np.array(probs.data)
+
+    def _bilstm_batch(self, x, batch: int, length: int, golds, train, rng) -> tuple:
+        """BiLSTM states of ``batch`` same-length documents, stacked
+        doc-major, through the segment head: (loss, alpha, text vectors,
+        logits, probs), one segment or row per document."""
         h = enc.bilstm_encode_batch(x, batch, length, self.bilstm_params)
         h = ad.dropout(h, self.config.dropout, train, rng)
         bounds = np.arange(batch + 1) * length
@@ -199,7 +210,46 @@ class TextClassifier:
         pooled = ad.dropout(text_vectors, self.config.dropout, train, rng)
         logits, probs = predict_rows(pooled, self.classifier)
         loss = classification_loss_rows(logits, golds) if golds is not None else None
-        return loss, np.array(logits.data), np.array(probs.data)
+        return loss, alpha, text_vectors, logits, probs
+
+    def forward_chunk(self, ids_list, parses) -> list[ModelOutput]:
+        """``forward_doc``'s outputs, with dropout off, for a chunk of
+        documents and their parses (a bracketing or None each).  The
+        encoder's per-token first layer is evaluated once per distinct
+        token of the chunk (``encoders.TokenTable``) and read by token
+        position.  The BiLSTM runs each same-length group of the chunk
+        step-batched through the segment head.  Inference only: nothing is
+        recorded for backward."""
+        docs = [np.asarray(ids, dtype=np.intp) for ids in ids_list]
+        if any(ids.size == 0 for ids in docs):
+            raise DataError("cannot classify an empty document")
+        distinct, positions = np.unique(np.concatenate(docs), return_inverse=True)
+        table = enc.TokenTable(ad.row_lookup(self.embeddings, distinct))
+        bounds = np.cumsum([0] + [len(ids) for ids in docs])
+        doc_positions = [positions[a:b] for a, b in zip(bounds, bounds[1:])]
+        if self.config.encoder != "bilstm":
+            return [
+                self._head(self._encode(table.rows_at(pos), parse), None, False, None)[0]
+                for pos, parse in zip(doc_positions, parses)
+            ]
+        outputs: list[Optional[ModelOutput]] = [None] * len(docs)
+        groups: dict[int, list[int]] = {}
+        for i, ids in enumerate(docs):
+            groups.setdefault(len(ids), []).append(i)
+        for length, group in groups.items():
+            rows = table.rows_at(np.concatenate([doc_positions[i] for i in group]))
+            _, alpha, text_vectors, logits, probs = self._bilstm_batch(
+                rows, len(group), length, None, False, None
+            )
+            for j, i in enumerate(group):
+                outputs[i] = ModelOutput(
+                    alpha=alpha.data[j * length : (j + 1) * length].copy(),
+                    text_vector=text_vectors.data[j].copy(),
+                    logits=logits.data[j].copy(),
+                    probs=probs.data[j].copy(),
+                    unit_spans=ngram_spans(length, 1),
+                )
+        return outputs
 
     # -- bookkeeping ----------------------------------------------------------
 

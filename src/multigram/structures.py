@@ -257,16 +257,6 @@ def left_branching_bracketing(tokens: Sequence[str]) -> str:
     return out
 
 
-def random_bracketing(tokens: Sequence[str], rng) -> str:
-    """A uniformly split random binary bracketing over ``tokens``."""
-    if len(tokens) == 1:
-        return tokens[0]
-    cut = 1 + int(rng.integers(0, len(tokens) - 1))
-    left = random_bracketing(tokens[:cut], rng)
-    right = random_bracketing(tokens[cut:], rng)
-    return f"({left} {right})"
-
-
 def structure_records(dag: NgramDag) -> list[str]:
     """Line-oriented dump: ``id<TAB>start<TAB>order<TAB>leftId<TAB>rightId``
     with -1 for an absent child."""

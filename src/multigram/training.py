@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .attention import ModelOutput
 from .autodiff import NumericError, ParamStore, Tape, Tensor
 from .data import Corpus, Vocab, load_embeddings, split_stratified
 from .errors import DataError
@@ -258,19 +259,36 @@ class EvalResult:
     predictions: np.ndarray
 
 
+def forward_chunks(
+    model: TextClassifier, docs: EncodedDocs, batch_size: int = 128
+) -> Iterator[ModelOutput]:
+    """Every document's ``ModelOutput`` with dropout off, in order, through
+    ``TextClassifier.forward_chunk`` on consecutive chunks of at most
+    ``batch_size`` documents."""
+    for start in range(0, len(docs), batch_size):
+        chunk = range(start, min(start + batch_size, len(docs)))
+        yield from model.forward_chunk(
+            [docs.ids[i] for i in chunk], [docs.parse_for(i) for i in chunk]
+        )
+
+
 def evaluate(model: TextClassifier, docs: EncodedDocs, batch_size: int = 128) -> EvalResult:
-    """Accuracy with dropout disabled, plus per-class correct/total counts."""
-    predictions = np.empty(len(docs), dtype=np.intp)
-    if model.config.encoder == "bilstm":
-        batches = bucket_batches(docs.lengths, np.arange(len(docs)), batch_size)
-        for batch in batches:
-            ids_matrix = np.stack([docs.ids[idx] for idx in batch])
-            _, logits, _ = model.forward_batch_bilstm(ids_matrix, golds=None, train=False)
-            predictions[batch] = logits.argmax(axis=1)
-    else:
-        for idx in range(len(docs)):
-            output, _ = model.forward_doc(docs.ids[idx], parse=docs.parse_for(idx))
-            predictions[idx] = output.predicted
+    """Accuracy with dropout disabled, plus per-class correct/total counts.
+
+    Documents run in consecutive chunks of at most ``batch_size``; each
+    chunk evaluates the encoder's per-token first layer once per distinct
+    token it holds and reads those rows by token position
+    (``forward_chunks``).  The chunk's table holds distinct tokens x
+    first-layer width values; at d = 100 that is 600 per token for a
+    ``hidden`` forest (leaf h and the shared side's five state maps; a
+    ``cell`` forest adds leaf c) and 2,800 for the K=7 CNN (one product
+    per order and offset).  The pyramid and the tree keep d per token (2d
+    with ``cell``), the biforest twice a forest's, the BiLSTM 4d for its
+    two input maps.  Predictions equal ``forward_doc``'s.
+    """
+    predictions = np.array(
+        [output.predicted for output in forward_chunks(model, docs, batch_size)], dtype=np.intp
+    )
     per_class = {
         name: {"correct": 0, "total": 0} for name in model.label_names
     }
@@ -325,6 +343,9 @@ def run_epoch(model, docs, adam, epoch: int, config: TrainConfig) -> tuple[float
         loss_sum += batch_loss
         correct += batch_correct
         adam.step()
+    # The last batch's gradients are spent; freeing them leaves room for the
+    # dev evaluation's first-layer table.
+    adam.zero_grad()
     return loss_sum / len(docs), correct / len(docs)
 
 

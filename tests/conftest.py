@@ -40,6 +40,16 @@ def random_embeddings(n, embed_dim, seed=0, scale=0.5):
     return Tensor(np.random.default_rng(seed).normal(scale=scale, size=(n, embed_dim)))
 
 
+def random_bracketing(tokens, rng) -> str:
+    """A uniformly split random binary bracketing over ``tokens``."""
+    if len(tokens) == 1:
+        return tokens[0]
+    cut = 1 + int(rng.integers(0, len(tokens) - 1))
+    left = random_bracketing(tokens[:cut], rng)
+    right = random_bracketing(tokens[cut:], rng)
+    return f"({left} {right})"
+
+
 def node_for_span(dag, start, order):
     """The node of ``dag`` covering ``order`` tokens from ``start``."""
     for node in dag.nodes:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from multigram import autodiff as ad
-from multigram.autodiff import Tensor, check_gradients
+from multigram.autodiff import Tensor
 from multigram.data import Vocab, load_corpus, split_stratified
 from multigram.encoders import (
     cnn_encoder_macs,
@@ -26,7 +26,6 @@ from multigram.model import ModelConfig, TextClassifier, count_parameters
 from multigram.structures import (
     build_structure,
     level_schedule,
-    random_bracketing,
     unfold_tokens,
 )
 from multigram.synthetic import make_planted_corpus
@@ -38,7 +37,8 @@ from multigram.training import (
     train,
 )
 
-from conftest import node_for_span
+from conftest import node_for_span, random_bracketing
+from gradcheck import check_gradients
 
 
 def verdict(number, label, ok, detail=""):

@@ -14,7 +14,9 @@ from multigram.attention import (
     predict,
     predict_rows,
 )
-from multigram.autodiff import ParamStore, Tensor, check_gradients
+from multigram.autodiff import ParamStore, Tensor
+
+from gradcheck import check_gradients
 
 RNG = np.random.default_rng(777)
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from multigram import autodiff as ad
 from multigram.autodiff import (
-    GradCheckReport,
     NumericError,
     ParamStore,
     ShapeError,
     Tape,
     Tensor,
-    check_gradients,
 )
+
+from gradcheck import GradCheckReport, check_gradients
 
 RNG = np.random.default_rng(12345)
 

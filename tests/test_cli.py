@@ -334,6 +334,68 @@ class TestEvalExplainBench:
         assert len(lines) == 4  # full + extracted + random
 
 
+    def test_explain_reports_equal_those_of_forward_doc(self, trained_run, corpus_path,
+                                                        tmp_path, monkeypatch):
+        # explain classifies through the per-chunk pass (training.forward_chunks),
+        # never forward_doc, and writes the reports forward_doc's outputs give.
+        from multigram.data import load_checkpoint, load_corpus
+        from multigram.explain import extract_evidence, render_highlights
+        from multigram.model import TextClassifier
+
+        model = load_checkpoint(trained_run)
+        corpus = load_corpus(corpus_path, label_names=model.label_names)
+        expected = []
+        for tokens in corpus.documents:
+            output, _ = model.forward_doc(model.vocab.encode(tokens))
+            report = extract_evidence(output, tokens, model.label_names[output.predicted], 0.01)
+            expected.append(render_highlights(report))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_doc was called")
+
+        monkeypatch.setattr(TextClassifier, "forward_doc", refuse)
+        out = tmp_path / "reports"
+        assert run(["explain", "--checkpoint", trained_run, "--corpus", corpus_path,
+                    "--threshold", "0.01", "--output-dir", out]) == 0
+        written = [path.read_text().splitlines()[-1] for path in sorted(out.glob("doc*.txt"))]
+        assert written == expected
+
+
+@pytest.fixture(scope="module")
+def tree_run(corpus_path, tmp_path_factory):
+    """A tree checkpoint and the left-branching parses of the corpus."""
+    root = tmp_path_factory.mktemp("tree")
+    docs = [line.split("\t")[1].split() for line in corpus_path.read_text().splitlines()]
+    parses = root / "parses.txt"
+    parses.write_text("\n".join(left_branching_bracketing(doc) for doc in docs) + "\n")
+    code = main(["train", "--corpus", str(corpus_path), "--parses", str(parses),
+                 "--encoder", "tree", *[str(a) for a in FAST], "--output-dir", str(root)])
+    assert code == 0
+    return root / "model.ckpt", parses
+
+
+class TestTreeCheckpoint:
+    def test_fidelity_reads_parses(self, tree_run, corpus_path, tmp_path, capsys):
+        checkpoint, parses = tree_run
+        out_file = tmp_path / "fidelity.tsv"
+        code = run(["fidelity", "--checkpoint", checkpoint, "--corpus", corpus_path,
+                    "--parses", parses, *FAST, "--n-values", "2", "--output", out_file])
+        assert code == 0
+        lines = out_file.read_text().strip().split("\n")
+        assert lines[0] == "n\tcondition\taccuracy" and len(lines) == 4
+
+    @pytest.mark.parametrize("command", ["fidelity", "explain", "eval"])
+    def test_a_tree_checkpoint_without_parses_is_a_usage_error(self, tree_run, corpus_path,
+                                                               capsys, command):
+        checkpoint, _ = tree_run
+        extra = FAST if command == "fidelity" else []
+        assert run([command, "--checkpoint", checkpoint, "--corpus", corpus_path,
+                    *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {command}: a tree checkpoint needs --parses\n"
+        assert "accuracy" not in captured.out and "predicted" not in captured.out
+
+
 def test_module_entry_point(corpus_path):
     proc = subprocess.run(
         [sys.executable, "-m", "multigram", "dump-structure", "--kind", "pyramid",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multigram import autodiff as ad
-from multigram.autodiff import ParamStore, Tape, Tensor, check_gradients
+from multigram.autodiff import ParamStore, Tape, Tensor
 from multigram.encoders import (
     TreeLstmParams,
     bilstm_encode,
@@ -17,14 +17,16 @@ from multigram.encoders import (
     init_bilstm_params,
     tree_encoder_macs,
 )
-from multigram.structures import build_structure, random_bracketing
+from multigram.structures import build_structure
 
 from conftest import (
     fresh_bilstm_params,
     fresh_cnn_params,
     fresh_tree_params,
+    random_bracketing,
     random_embeddings,
 )
+from gradcheck import check_gradients
 from reference import (
     NodeState,
     bilstm_reference,

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from multigram import autodiff as ad
-from multigram.autodiff import Tape, Tensor, check_gradients
+from multigram.autodiff import Tape, Tensor
 from multigram.data import Vocab
 from multigram.errors import DataError
 from multigram.model import ENCODER_KINDS, ModelConfig, TextClassifier, count_parameters
 from multigram.structures import left_branching_bracketing
+
+from gradcheck import check_gradients
 
 
 def build_model(encoder="leftforest", classes=3, embed_dim=6, hidden_dim=4,

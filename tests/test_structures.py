@@ -12,12 +12,11 @@ from multigram.structures import (
     left_branching_bracketing,
     level_schedule,
     ngram_text,
-    random_bracketing,
     structure_records,
     unfold_tokens,
 )
 
-from conftest import node_for_span
+from conftest import node_for_span, random_bracketing
 
 TOKENS4 = ["w1", "w2", "w3", "w4"]
 NGRAM_KINDS = ("pyramid", "leftforest", "rightforest")

@@ -324,7 +324,8 @@ class TestBenchmark:
 
     def test_tree_macs_over_mixed_parses_match_closed_form(self):
         from multigram.encoders import tree_encoder_macs
-        from multigram.structures import random_bracketing
+
+        from conftest import random_bracketing
 
         rng = np.random.default_rng(4)
         docs = [[f"t{rng.integers(0, 20)}" for _ in range(rng.integers(1, 12))]
