@@ -41,11 +41,10 @@ from .model import ModelConfig, TextClassifier, count_parameters
 from .structures import (
     NgramDag,
     NgramNode,
+    NgramShape,
     Span,
     build_structure,
-    level_schedule,
-    ngram_text,
-    unfold_tokens,
+    ngram_shape,
 )
 from .synthetic import make_planted_corpus
 from .training import (

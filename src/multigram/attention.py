@@ -23,9 +23,6 @@ class AttentionParams:
     w: Tensor  # (attention_dim, input_width)
     v: Tensor  # (attention_dim,)
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.v]
-
 
 @dataclass
 class ClassifierParams:
@@ -35,9 +32,6 @@ class ClassifierParams:
     @property
     def num_classes(self) -> int:
         return self.w.shape[0]
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .autodiff import NumericError
 from .data import load_checkpoint, load_corpus, read_lines, save_checkpoint
 from .errors import DataError, UsageError
 from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_highlights
-from .structures import build_structure, structure_records
+from .structures import STRUCTURE_KINDS, build_structure, structure_records
 from .synthetic import make_planted_corpus
 from .training import (
     EncodedDocs,
@@ -196,8 +196,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--output")
 
     p_dump = sub.add_parser("dump-structure", help="emit a structure as TSV records")
-    p_dump.add_argument("--kind", required=True,
-                        choices=("tree", "pyramid", "leftforest", "rightforest"))
+    p_dump.add_argument("--kind", required=True, choices=STRUCTURE_KINDS)
     p_dump.add_argument("--tokens", help="space-separated tokens")
     p_dump.add_argument("--length", type=int, help="token count (alternative to --tokens)")
     p_dump.add_argument("--max-order", type=int, dest="max_order", default=7)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor, gate_count
-from .structures import NgramDag, Span, child_rows, ngram_dag, ngram_spans
+from .structures import NgramDag, NgramShape, Span, child_rows, ngram_shape, ngram_spans
 
 MEMORY_UPDATES = ("hidden", "cell")
 
@@ -230,7 +230,7 @@ def _token_rows(x: Tensor | TokenRows) -> TokenRows:
     return x if isinstance(x, TokenRows) else TokenRows(x)
 
 
-def _check_alignment(dag: NgramDag, token_embeddings: Tensor | TokenRows) -> None:
+def _check_alignment(dag: NgramDag | NgramShape, token_embeddings: Tensor | TokenRows) -> None:
     if len(token_embeddings.shape) != 2 or token_embeddings.shape[0] != dag.token_count:
         raise ShapeError(
             f"embedding rows {token_embeddings.shape} do not align with "
@@ -239,7 +239,7 @@ def _check_alignment(dag: NgramDag, token_embeddings: Tensor | TokenRows) -> Non
 
 
 def encode_dag(
-    dag: NgramDag,
+    dag: NgramDag | NgramShape,
     token_embeddings: Tensor | TokenRows,
     params: TreeLstmParams,
     memory_update: str = "hidden",
@@ -248,7 +248,9 @@ def encode_dag(
 
     Leaves consume their word embedding with zero child states; internal
     nodes consume their children's states with a zero label embedding.  Row
-    order equals node-id order (level by level, left to right).
+    order equals node-id order (level by level, left to right).  A parse
+    tree needs its ``NgramDag``; an ngram structure needs only its
+    ``NgramShape``, since its levels follow from ``child_rows``.
     """
     if memory_update not in MEMORY_UPDATES:
         raise ValueError(f"memory_update must be one of {MEMORY_UPDATES}, got {memory_update!r}")
@@ -267,10 +269,10 @@ def _encode_ngram(dag, first, params, memory_update):
     # computed with the leaves, once for every token, and sliced per level.
     shared = next((i for i, side in enumerate(child_rows(dag.kind, 2)) if side.unigram), None)
     leaf_h, leaf_c, unigram_proj = first.leaves(
-        params, memory_update == "cell", shared if len(dag.levels) >= 2 else None
+        params, memory_update == "cell", shared if dag.max_order >= 2 else None
     )
     h_levels, c_levels = [leaf_h], [leaf_c]
-    for order in range(2, len(dag.levels) + 1):
+    for order in range(2, dag.max_order + 1):
         m = n - order + 1
         sides = child_rows(dag.kind, order)
 
@@ -332,10 +334,10 @@ def encode_bi_forest(
 ) -> EncoderOutput:
     """Concatenate left-forest and right-forest representations per span."""
     n = token_embeddings.shape[0]
-    left_dag = ngram_dag("leftforest", n, max_order)
-    right_dag = ngram_dag("rightforest", n, max_order)
-    left_out = encode_dag(left_dag, token_embeddings, left_params, memory_update)
-    right_out = encode_dag(right_dag, token_embeddings, right_params, memory_update)
+    left = ngram_shape("leftforest", n, max_order)
+    right = ngram_shape("rightforest", n, max_order)
+    left_out = encode_dag(left, token_embeddings, left_params, memory_update)
+    right_out = encode_dag(right, token_embeddings, right_params, memory_update)
     return EncoderOutput(ad.concat_cols([left_out.h, right_out.h]), left_out.spans)
 
 

@@ -23,7 +23,7 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import build_structure, ngram_dag, ngram_spans
+from .structures import build_structure, ngram_shape, ngram_spans
 
 ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
 FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -124,8 +124,8 @@ class TextClassifier:
         n = x.shape[0]
         mu = self.config.memory_update
         if kind in FOREST_KINDS:
-            dag = ngram_dag(kind, n, self.config.max_order)
-            return enc.encode_dag(dag, x, self.tree_params, mu)
+            shape = ngram_shape(kind, n, self.config.max_order)
+            return enc.encode_dag(shape, x, self.tree_params, mu)
         if kind == "tree":
             dag = build_structure("tree", n, self.config.max_order, parse)
             return enc.encode_dag(dag, x, self.tree_params, mu)

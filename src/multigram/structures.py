@@ -3,13 +3,13 @@
 Every encoder in this package walks one of four unit structures built over a
 document: a binarized parse tree, a pyramid of all ngrams, or a left- or
 right-branching forest of all ngrams.  Nodes are organized into dependency
-levels so that a whole level can be evaluated at once.  Span lists and ngram
-structures depend only on (kind, length, max order), so they are built once
-per process and shared.
+levels so that a whole level can be evaluated at once.  An ngram structure
+depends only on (kind, length, max order): its span list is built once per
+process and shared, and the level-wise encoder reads the rest from the one
+child rule, so no node graph is kept per length.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Optional, Sequence
@@ -23,7 +23,7 @@ class BracketingError(DataError):
     """Raised for malformed or misaligned bracketed-tree input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A contiguous token range: ``order`` tokens starting at ``start``."""
 
@@ -41,7 +41,7 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NgramNode:
     """One unit in a structure: a span plus optional (left, right) children."""
 
@@ -63,6 +63,17 @@ class NgramDag:
     nodes: tuple[NgramNode, ...]
     levels: tuple[tuple[int, ...], ...]
     spans: tuple[Span, ...]  # spans[i] is nodes[i].span
+
+
+class NgramShape(NamedTuple):
+    """All the level-wise encoder reads of an ngram structure: its kind,
+    token count, effective order and span list.  ``NgramDag`` has the same
+    fields; the node graph follows from them by ``child_rows``."""
+
+    kind: str
+    token_count: int
+    max_order: int
+    spans: tuple[Span, ...]
 
 
 @cache
@@ -110,13 +121,26 @@ def child_rows(kind: str, order: int) -> tuple[ChildRows, ChildRows]:
     return parts[left], parts[right]
 
 
+def ngram_shape(kind: str, n: int, max_order: int) -> NgramShape:
+    """The shape of the ngram structure ``kind`` over ``n`` tokens:
+    ``max_order`` clamped to ``n``, and the shared span list."""
+    if n < 1:
+        raise ValueError("cannot build a structure over an empty token sequence")
+    if kind not in _CHILD_RULES:
+        raise ValueError(f"unknown ngram structure kind: {kind!r}")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    return NgramShape(kind, n, min(max_order, n), ngram_spans(n, max_order))
+
+
 def build_structure(
     kind: str,
     tokens: Sequence[str] | int,
     max_order: int,
     parse: Optional[str] = None,
 ) -> NgramDag:
-    """Build the unit structure of the given kind over ``tokens``.
+    """Build the unit structure of the given kind over ``tokens``, with
+    every node and its children.
 
     ``tokens`` may be a bare length when only span structure matters.
     ``max_order`` is clamped to the sentence length for the ngram kinds and
@@ -125,23 +149,18 @@ def build_structure(
     right, so ids are deterministic and children always precede parents.
     """
     n = tokens if isinstance(tokens, int) else len(tokens)
-    if n < 1:
-        raise ValueError("cannot build a structure over an empty token sequence")
     if kind == "tree":
+        if n < 1:
+            raise ValueError("cannot build a structure over an empty token sequence")
         if parse is None:
             raise BracketingError("tree structure requires a bracketed parse")
         return _build_tree(tokens, n, parse)
-    if kind not in STRUCTURE_KINDS:
-        raise ValueError(f"unknown structure kind: {kind!r}")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
 
-    effective = min(max_order, n)
-    spans = ngram_spans(n, max_order)
+    shape = ngram_shape(kind, n, max_order)
     span_ids: dict[Span, int] = {}
     nodes: list[NgramNode] = []
-    levels: list[list[int]] = [[] for _ in range(effective)]
-    for node_id, span in enumerate(spans):
+    levels: list[list[int]] = [[] for _ in range(shape.max_order)]
+    for node_id, span in enumerate(shape.spans):
         children = None
         if span.order > 1:
             children = tuple(
@@ -151,43 +170,7 @@ def build_structure(
         span_ids[span] = node_id
         nodes.append(NgramNode(node_id, span, children, span.order))
         levels[span.order - 1].append(node_id)
-    return NgramDag(kind, n, effective, tuple(nodes), tuple(map(tuple, levels)), spans)
-
-
-@cache
-def ngram_dag(kind: str, n: int, max_order: int) -> NgramDag:
-    """``build_structure(kind, n, max_order)`` for the ngram kinds, built
-    once per process: the structure depends only on its arguments."""
-    return build_structure(kind, n, max_order)
-
-
-def level_schedule(dag: NgramDag) -> list[list[int]]:
-    """Node-id batches in dependency order; within a batch all nodes are
-    mutually independent and every child sits in an earlier batch."""
-    return [list(level) for level in dag.levels]
-
-
-def unfold_tokens(dag: NgramDag, node_id: int) -> Counter:
-    """Leaf-token multiset of the computation tree rooted at ``node_id``,
-    expanding shared children fully."""
-    if node_id < 0 or node_id >= len(dag.nodes):
-        raise KeyError(f"unknown node id: {node_id}")
-    memo: dict[int, Counter] = {}
-    # Children always have smaller ids, so a single id-ordered sweep works.
-    for node in dag.nodes:
-        if node.id > node_id:
-            break
-        if node.children is None:
-            memo[node.id] = Counter({node.span.start: 1})
-        else:
-            left, right = node.children
-            memo[node.id] = memo[left] + memo[right]
-    return memo[node_id]
-
-
-def ngram_text(dag: NgramDag, node_id: int, tokens: Sequence[str]) -> list[str]:
-    node = dag.nodes[node_id]
-    return list(tokens[node.span.start : node.span.end])
+    return NgramDag(kind, n, shape.max_order, tuple(nodes), tuple(map(tuple, levels)), shape.spans)
 
 
 # ---------------------------------------------------------------------------

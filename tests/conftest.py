@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,36 @@ def node_for_span(dag, start, order):
         if node.span.start == start and node.span.order == order:
             return node
     raise KeyError(f"no node with span ({start}, {order})")
+
+
+def level_schedule(dag) -> list[list[int]]:
+    """Node-id batches in dependency order; within a batch all nodes are
+    mutually independent and every child sits in an earlier batch."""
+    return [list(level) for level in dag.levels]
+
+
+def unfold_tokens(dag, node_id: int) -> Counter:
+    """Leaf-token multiset of the computation tree rooted at ``node_id``,
+    expanding shared children fully."""
+    if node_id < 0 or node_id >= len(dag.nodes):
+        raise KeyError(f"unknown node id: {node_id}")
+    memo: dict[int, Counter] = {}
+    # Children always have smaller ids, so a single id-ordered sweep works.
+    for node in dag.nodes:
+        if node.id > node_id:
+            break
+        if node.children is None:
+            memo[node.id] = Counter({node.span.start: 1})
+        else:
+            left, right = node.children
+            memo[node.id] = memo[left] + memo[right]
+    return memo[node_id]
+
+
+def ngram_text(dag, node_id: int, tokens) -> list[str]:
+    """The tokens under node ``node_id`` of ``dag``."""
+    node = dag.nodes[node_id]
+    return list(tokens[node.span.start : node.span.end])
 
 
 def rewrite_checkpoint_header(path, header: dict) -> None:

@@ -23,11 +23,7 @@ from multigram.encoders import (
 )
 from multigram.explain import FidelityRow, fidelity_harness
 from multigram.model import ModelConfig, TextClassifier, count_parameters
-from multigram.structures import (
-    build_structure,
-    level_schedule,
-    unfold_tokens,
-)
+from multigram.structures import build_structure
 from multigram.synthetic import make_planted_corpus
 from multigram.training import (
     TrainConfig,
@@ -37,7 +33,7 @@ from multigram.training import (
     train,
 )
 
-from conftest import node_for_span, random_bracketing
+from conftest import level_schedule, node_for_span, random_bracketing, unfold_tokens
 from gradcheck import check_gradients
 
 

@@ -10,13 +10,10 @@ from multigram.structures import (
     Span,
     build_structure,
     left_branching_bracketing,
-    level_schedule,
-    ngram_text,
     structure_records,
-    unfold_tokens,
 )
 
-from conftest import node_for_span, random_bracketing
+from conftest import level_schedule, ngram_text, node_for_span, random_bracketing, unfold_tokens
 
 TOKENS4 = ["w1", "w2", "w3", "w4"]
 NGRAM_KINDS = ("pyramid", "leftforest", "rightforest")

@@ -3,7 +3,8 @@ program's layer functions and methods by name and stops on any it cannot
 find.  Installing its tracer here turns a renamed or deleted traced name
 into a failing test, a traced training step checks that the tape's hooks
 still report backward work, and a traced evaluation that its first-layer
-products still show as ``linear_rows`` spans."""
+products still show as ``linear_rows`` spans.  Both check that a forest
+runs through ``encode_dag`` without building a node graph."""
 import sys
 from pathlib import Path
 
@@ -45,6 +46,9 @@ def test_traced_training_step_records_backward_spans_and_tape_size():
         assert totals[f"autodiff.{primitive}_backward_calls"] >= 1, primitive
     assert totals["autodiff.backward_calls"] == 1
     assert totals["autodiff.tape_records"] == len(tape) > 0
+    # A forest reads its structure's shape; it builds no node graph.
+    assert totals["encoders.encode_dag_calls"] == 1
+    assert "structures.build_structure_calls" not in totals
 
 
 @pytest.mark.parametrize("encoder", ["leftforest", "cnn"])
@@ -73,6 +77,9 @@ def test_traced_evaluation_records_the_first_layer_products(encoder):
     assert totals["training.evaluate_calls"] == 1
     assert totals["autodiff.linear_rows_calls"] >= 1
     assert totals["autodiff.linear_rows_ms"] > 0
+    if encoder == "leftforest":
+        assert totals["encoders.encode_dag_calls"] == len(tokens)
+        assert "structures.build_structure_calls" not in totals
     if encoder == "cnn":
         # One product per (order, offset) for the chunk, one attention map per document.
         assert totals["autodiff.linear_rows_calls"] == 1 + 2 + 3 + len(tokens)

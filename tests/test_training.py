@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from multigram import structures
 from multigram.autodiff import NumericError, ParamStore, Tape, Tensor
 from multigram.data import Corpus
 from multigram.errors import DataError
@@ -164,6 +167,23 @@ class TestTrainLoop:
         # The returned model scores exactly the recorded best dev accuracy.
         assert evaluate(result.model, bundle.dev).accuracy == pytest.approx(best)
 
+    def test_stopping_at_the_best_epoch_returns_the_same_parameters(self):
+        # The best epoch here is neither the first nor the last, so the
+        # longer run hands back the copy taken when that epoch improved.
+        bundle = prepare_bundle(toy_corpus(), None, embed_dim=12, seed=1)
+        config = small_config(epochs=6, patience=6, seed=2, learning_rate=0.01)
+        full = train(config, bundle)
+        best = full.best_epoch
+        assert 0 < best < len(full.history) - 1
+        stopped = train(replace(config, epochs=best + 1), bundle)
+        assert stopped.best_epoch == best
+        assert history_signature(stopped) == history_signature(full)[: best + 1]
+        full_state, stopped_state = full.model.store.state_dict(), stopped.model.store.state_dict()
+        assert full_state.keys() == stopped_state.keys()
+        for name, value in full_state.items():
+            assert np.array_equal(value, stopped_state[name]), name
+        assert evaluate(full.model, bundle.dev).accuracy == full.best_dev_accuracy
+
     def test_loss_non_increasing_first_steps_most_seeds(self):
         # Single-batch corpus, lr=1e-3: loss should fall monotonically over
         # the first 5 steps for nearly every init seed.
@@ -237,6 +257,38 @@ class TestGradientBatchingConsistency:
         assert (loss_sum, correct) == (ref_loss, ref_correct)
         for name in batched:
             assert np.array_equal(batched[name], reference[name]), name
+
+
+def mixed_length_corpus(lengths, per_class=4):
+    """``toy_corpus`` documents of every length in ``lengths``."""
+    docs, labels = [], []
+    for seed, length in enumerate(lengths):
+        part = toy_corpus(per_class=per_class, length=length, seed=seed)
+        docs += part.documents
+        labels += part.labels
+    return Corpus(docs, labels, part.label_names)
+
+
+@pytest.mark.parametrize("encoder", ["pyramid", "leftforest", "rightforest", "biforest"])
+def test_ngram_encoders_build_no_node_graph(encoder, monkeypatch):
+    # The ngram encoders read a structure's kind, length, effective order
+    # and span list; no document length costs them a graph of nodes.
+    lengths = (29, 31, 37, 41, 43)
+    bundle = prepare_bundle(mixed_length_corpus(lengths), None, embed_dim=12, seed=1)
+
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("an NgramNode was built")
+
+    monkeypatch.setattr(structures, "NgramNode", no_nodes)
+    result = train(small_config(encoder=encoder, max_order=4, epochs=1, patience=1), bundle)
+    evaluate(result.model, bundle.test)
+    seen = set()
+    for ids in bundle.train.ids:
+        if len(ids) not in seen:
+            seen.add(len(ids))
+            output, _ = result.model.forward_doc(ids)
+            assert len(output.unit_spans) == len(structures.ngram_spans(len(ids), 4))
+    assert seen == set(lengths)
 
 
 class TestEvaluate:
