@@ -37,14 +37,14 @@ from .explain import (
     random_subsequence,
     render_highlights,
 )
-from .model import ModelConfig, TextClassifier, count_parameters
+from .model import ModelConfig, TextClassifier
 from .structures import (
     NgramDag,
-    NgramNode,
     NgramShape,
     Span,
     build_structure,
     ngram_shape,
+    tree_shape,
 )
 from .synthetic import make_planted_corpus
 from .training import (

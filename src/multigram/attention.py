@@ -29,10 +29,6 @@ class ClassifierParams:
     w: Tensor  # (classes, input_width)
     b: Tensor  # (classes,)
 
-    @property
-    def num_classes(self) -> int:
-        return self.w.shape[0]
-
 
 @dataclass
 class ModelOutput:

@@ -873,15 +873,6 @@ class ParamStore:
     def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def total_size(self) -> int:
         return sum(t.size for t in self._params.values())
 

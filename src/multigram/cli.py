@@ -34,6 +34,9 @@ from .training import (
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _PATH_KEYS = ("corpus", "embeddings", "parses", "checkpoint", "output_dir")
+# The generated timing corpus has five classes, and the 8:1:1 split gives a
+# class a dev and a test document from ten documents on.
+_BENCH_MIN_DOCS = 5 * 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +78,14 @@ def _checked(config: TrainConfig) -> TrainConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config
+
+
+def _refuse_tree_without_parses(args, encoders, what: str = "the tree encoder") -> None:
+    """A ``tree`` run needs bracketings; without them it is a usage error,
+    raised before any set-up work."""
+    flag = "--parse" if args.command == "dump-structure" else "--parses"
+    if "tree" in encoders and not getattr(args, flag[2:]):
+        raise UsageError(f"{args.command}: {what} needs {flag}")
 
 
 def _positive_ints(flag: str, text: str) -> list[int]:
@@ -182,6 +193,7 @@ def build_parser() -> _Parser:
     _add_train_flags(p_abl)
     p_abl.add_argument("--corpus", required=True)
     p_abl.add_argument("--embeddings")
+    p_abl.add_argument("--parses", help="bracketed trees aligned with the corpus")
     p_abl.add_argument("--encoders", default="leftforest,cnn,bilstm")
     p_abl.add_argument("--orders", default="1,2,3,4,5,6,7,8,9")
     p_abl.add_argument("--output")
@@ -190,6 +202,7 @@ def build_parser() -> _Parser:
     _add_train_flags(p_bench)
     p_bench.add_argument("--corpus", help="defaults to a synthetic timing corpus")
     p_bench.add_argument("--embeddings")
+    p_bench.add_argument("--parses", help="bracketed trees aligned with --corpus")
     p_bench.add_argument("--encoders", default="leftforest,cnn")
     p_bench.add_argument("--docs", type=int, default=1000)
     p_bench.add_argument("--doc-len", type=int, dest="doc_len", default=200)
@@ -214,6 +227,7 @@ def cmd_train(args) -> int:
     config = resolve_train_config(args)
     if not args.corpus:
         raise UsageError("train needs --corpus (flag or config file)")
+    _refuse_tree_without_parses(args, [config.encoder])
     echo_config("train", config, args)
     corpus = load_corpus(args.corpus, parse_path=args.parses)
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
@@ -234,8 +248,7 @@ def cmd_train(args) -> int:
 def _checkpoint_corpus(args, model):
     """The corpus a loaded checkpoint runs on, with its parses; a ``tree``
     checkpoint without ``--parses`` is a usage error."""
-    if model.config.encoder == "tree" and not args.parses:
-        raise UsageError(f"{args.command}: a tree checkpoint needs --parses")
+    _refuse_tree_without_parses(args, [model.config.encoder], "a tree checkpoint")
     return load_corpus(args.corpus, label_names=model.label_names, parse_path=args.parses)
 
 
@@ -327,9 +340,10 @@ def cmd_ablate(args) -> int:
     encoders = [_checked(replace(config, encoder=e.strip())).encoder
                 for e in args.encoders.split(",") if e.strip()]
     orders = _positive_ints("--orders", args.orders)
+    _refuse_tree_without_parses(args, encoders)
     echo_config("ablate", config, args,
                 extra={"encoders": args.encoders, "orders": args.orders})
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus, parse_path=args.parses)
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
     lines = ["encoder\tK\tdev_acc"]
     for encoder in encoders:
@@ -352,10 +366,18 @@ def cmd_bench(args) -> int:
     config = resolve_train_config(args)
     encoders = [_checked(replace(config, encoder=e.strip())).encoder
                 for e in args.encoders.split(",") if e.strip()]
+    if args.parses and not args.corpus:
+        raise UsageError("bench: --parses needs --corpus")
+    _refuse_tree_without_parses(args, encoders)
+    if not args.corpus and args.docs < _BENCH_MIN_DOCS:
+        raise UsageError(
+            f"bench: --docs must be at least {_BENCH_MIN_DOCS}, so that the 8:1:1 split of "
+            f"the generated corpus gives every class a dev and a test document"
+        )
     echo_config("bench", config, args,
                 extra={"encoders": args.encoders, "docs": args.docs, "doc_len": args.doc_len})
     if args.corpus:
-        corpus = load_corpus(args.corpus)
+        corpus = load_corpus(args.corpus, parse_path=args.parses)
     else:
         try:
             corpus = make_planted_corpus(
@@ -383,6 +405,7 @@ def cmd_dump_structure(args) -> int:
         raise UsageError("dump-structure needs --tokens or --length")
     if not tokens or args.max_order < 1:
         raise UsageError("dump-structure needs at least one token and --max-order of at least 1")
+    _refuse_tree_without_parses(args, [args.kind], "--kind tree")
     dag = build_structure(args.kind, tokens, args.max_order, parse=args.parse)
     text = "\n".join(structure_records(dag)) + "\n"
     if args.output:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -51,12 +51,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def class_counts(self) -> list[int]:
-        counts = [0] * len(self.label_names)
-        for label in self.labels:
-            counts[label] += 1
-        return counts
 
     def length_stats(self) -> dict:
         lengths = np.array([len(doc) for doc in self.documents])
@@ -142,14 +136,6 @@ def load_corpus(
                 raise DataError(f"{parse_path}:{lineno}: {exc}") from None
         parses = [parse for _, parse in lines]
     return Corpus([tokens for _, _, tokens in raw], labels, names, parses)
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    lines = [
-        f"{corpus.label_names[label]}\t{' '.join(doc)}"
-        for doc, label in zip(corpus.documents, corpus.labels)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def split_stratified(
@@ -253,7 +239,7 @@ def save_checkpoint(model: TextClassifier, path, extra: Optional[dict] = None) -
     dtype = model.embeddings.data.dtype.name
     blob_dtype = _BLOB_DTYPES[dtype]
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "label_names": model.label_names,
         "vocab": model.vocab.tokens,
         "tokenizer": "lowercase_whitespace",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor, gate_count
-from .structures import NgramDag, NgramShape, Span, child_rows, ngram_shape, ngram_spans
+from .structures import NgramShape, Span, child_rows, ngram_shape, ngram_spans
 
 MEMORY_UPDATES = ("hidden", "cell")
 
@@ -230,51 +230,51 @@ def _token_rows(x: Tensor | TokenRows) -> TokenRows:
     return x if isinstance(x, TokenRows) else TokenRows(x)
 
 
-def _check_alignment(dag: NgramDag | NgramShape, token_embeddings: Tensor | TokenRows) -> None:
-    if len(token_embeddings.shape) != 2 or token_embeddings.shape[0] != dag.token_count:
+def _check_alignment(shape: NgramShape, token_embeddings: Tensor | TokenRows) -> None:
+    if len(token_embeddings.shape) != 2 or token_embeddings.shape[0] != shape.token_count:
         raise ShapeError(
             f"embedding rows {token_embeddings.shape} do not align with "
-            f"{dag.token_count} tokens"
+            f"{shape.token_count} tokens"
         )
 
 
 def encode_dag(
-    dag: NgramDag | NgramShape,
+    shape: NgramShape,
     token_embeddings: Tensor | TokenRows,
     params: TreeLstmParams,
     memory_update: str = "hidden",
 ) -> EncoderOutput:
-    """Encode every node of ``dag`` bottom-up, one vectorized pass per level.
+    """Encode every unit of ``shape`` bottom-up, one vectorized pass per level.
 
     Leaves consume their word embedding with zero child states; internal
     nodes consume their children's states with a zero label embedding.  Row
     order equals node-id order (level by level, left to right).  A parse
-    tree needs its ``NgramDag``; an ngram structure needs only its
-    ``NgramShape``, since its levels follow from ``child_rows``.
+    tree's levels read the child ids of its shape; an ngram structure's
+    follow from ``child_rows``.
     """
     if memory_update not in MEMORY_UPDATES:
         raise ValueError(f"memory_update must be one of {MEMORY_UPDATES}, got {memory_update!r}")
-    _check_alignment(dag, token_embeddings)
+    _check_alignment(shape, token_embeddings)
     rows = _token_rows(token_embeddings)
-    if dag.kind == "tree":
-        return _encode_tree(dag, rows, params, memory_update)
-    return _encode_ngram(dag, rows, params, memory_update)
+    if shape.kind == "tree":
+        return _encode_tree(shape, rows, params, memory_update)
+    return _encode_ngram(shape, rows, params, memory_update)
 
 
-def _encode_ngram(dag, first, params, memory_update):
-    n = dag.token_count
+def _encode_ngram(shape, first, params, memory_update):
+    n = shape.token_count
     u = (params.u_left, params.u_right)
     # A side whose child is a unigram at every order (the forests' shared
     # side) has its child-state projection, with the gate bias folded in,
     # computed with the leaves, once for every token, and sliced per level.
-    shared = next((i for i, side in enumerate(child_rows(dag.kind, 2)) if side.unigram), None)
+    shared = next((i for i, side in enumerate(child_rows(shape.kind, 2)) if side.unigram), None)
     leaf_h, leaf_c, unigram_proj = first.leaves(
-        params, memory_update == "cell", shared if dag.max_order >= 2 else None
+        params, memory_update == "cell", shared if shape.max_order >= 2 else None
     )
     h_levels, c_levels = [leaf_h], [leaf_c]
-    for order in range(2, dag.max_order + 1):
+    for order in range(2, shape.max_order + 1):
         m = n - order + 1
-        sides = child_rows(dag.kind, order)
+        sides = child_rows(shape.kind, order)
 
         def rows(block, side):
             return ad.slice_rows(block, side.shift, side.shift + m)
@@ -298,15 +298,15 @@ def _encode_ngram(dag, first, params, memory_update):
         h_levels.append(h)
         c_levels.append(c)
     full = h_levels[0] if len(h_levels) == 1 else ad.concat_rows(h_levels)
-    return EncoderOutput(full, dag.spans)
+    return EncoderOutput(full, shape.spans)
 
 
-def _encode_tree(dag, first, params, memory_update):
+def _encode_tree(shape, first, params, memory_update):
     track_c = memory_update == "cell"
     h_all, c_all, _ = first.leaves(params, track_c)
-    for level in dag.levels[1:]:
-        left_ids = np.array([dag.nodes[i].children[0] for i in level], dtype=np.intp)
-        right_ids = np.array([dag.nodes[i].children[1] for i in level], dtype=np.intp)
+    for left, right in shape.children:
+        left_ids = np.array(left, dtype=np.intp)
+        right_ids = np.array(right, dtype=np.intp)
         left_h = ad.row_lookup(h_all, left_ids)
         right_h = ad.row_lookup(h_all, right_ids)
         if track_c:
@@ -322,7 +322,7 @@ def _encode_tree(dag, first, params, memory_update):
         h_all = ad.concat_rows([h_all, h])
         if track_c:
             c_all = ad.concat_rows([c_all, c])
-    return EncoderOutput(h_all, dag.spans)
+    return EncoderOutput(h_all, shape.spans)
 
 
 def encode_bi_forest(
@@ -462,56 +462,3 @@ def cnn_encode(token_embeddings: Tensor | TokenRows, params: CnnParams) -> Encod
         blocks.append(ad.tanh(rows.ngram_conv(params, k)))
     h = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
     return EncoderOutput(h, ngram_spans(n, params.max_order))
-
-
-# ---------------------------------------------------------------------------
-# Analytic multiply-accumulate counts (forward); instrumented counts from
-# autodiff.mac_count must match these exactly.
-# ---------------------------------------------------------------------------
-
-
-def forest_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
-    """Forward MACs for leftforest/rightforest.
-
-    Leaves cost three input maps.  One child of every composition is a
-    unigram whose five state maps are computed once for the whole document
-    (n rows) and sliced per level; only the other child pays per node.
-    """
-    depth = min(max_order, n)
-    leaf = n * gate_count(0) * embed_dim * hidden_dim
-    if depth < 2:
-        return leaf
-    shared_unigram = n * gate_count(2) * hidden_dim * hidden_dim
-    internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
-    return leaf + shared_unigram + internal_nodes * gate_count(2) * hidden_dim * hidden_dim
-
-
-def pyramid_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
-    """Three-gate leaves; the pyramid shares no per-level operand, so both
-    children of every internal node pay the five state maps."""
-    depth = min(max_order, n)
-    leaf = n * gate_count(0) * embed_dim * hidden_dim
-    internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
-    return leaf + internal_nodes * 2 * gate_count(2) * hidden_dim * hidden_dim
-
-
-def tree_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
-    """Three-gate leaves plus both children's five state maps per internal
-    node."""
-    leaf = n * gate_count(0) * embed_dim * hidden_dim
-    return leaf + (n - 1) * 2 * gate_count(2) * hidden_dim * hidden_dim
-
-
-def cnn_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
-    return sum(
-        (n - k + 1) * k * embed_dim * hidden_dim for k in range(1, min(max_order, n) + 1)
-    )
-
-
-def bilstm_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
-    """Per direction: the first step maps its input to the three live gates;
-    every later step maps input and previous hidden state to all four."""
-    direction = hidden_dim // 2
-    inputs = (gate_count(0) + (n - 1) * gate_count(1)) * direction * embed_dim
-    recurrent = (n - 1) * gate_count(1) * direction * direction
-    return 2 * (inputs + recurrent)

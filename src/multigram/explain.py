@@ -10,7 +10,7 @@ contiguous subsequences of the same size and against the full-text model.
 from __future__ import annotations
 
 import html as html_lib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,11 +32,6 @@ from .training import (
 
 _KEY_RANDOM_WINDOW = 5
 
-# How word importance is derived from unit weights; recorded in reports so
-# downstream consumers can audit the reduction.
-IMPORTANCE_MODE = "max-over-covering-units"
-ORDER_MODE = "original-token-order"
-
 
 @dataclass
 class Evidence:
@@ -51,7 +46,6 @@ class EvidenceReport:
     evidence: list[Evidence]
     tokens: list[str]
     threshold: float
-    metadata: dict = field(default_factory=dict)
 
 
 def extract_evidence(
@@ -76,7 +70,6 @@ def extract_evidence(
         evidence=picked,
         tokens=list(tokens),
         threshold=threshold,
-        metadata={"importance": IMPORTANCE_MODE, "order": ORDER_MODE},
     )
 
 
@@ -180,10 +173,6 @@ def fidelity_tsv(rows: Sequence[FidelityRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _collect_alphas(model: TextClassifier, docs: EncodedDocs) -> list[ModelOutput]:
-    return list(forward_chunks(model, docs))
-
-
 def _reduced_corpus(
     docs: EncodedDocs,
     label_names: Sequence[str],
@@ -235,8 +224,8 @@ def fidelity_harness(
     if probe_config is None:
         probe_config = TrainConfig(encoder="bilstm", embed_dim=explainer.config.embed_dim)
     probe_config = replace(probe_config, encoder="bilstm", seed=seed)
-    train_alphas = _collect_alphas(explainer, bundle.train)
-    dev_alphas = _collect_alphas(explainer, bundle.dev)
+    train_alphas = list(forward_chunks(explainer, bundle.train))
+    dev_alphas = list(forward_chunks(explainer, bundle.dev))
 
     rows = []
     full_train = Corpus(bundle.train.tokens, [int(l) for l in bundle.train.labels], bundle.label_names)

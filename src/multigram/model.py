@@ -1,7 +1,7 @@
 """Full classifier: encoder + attention pooling + prediction layer."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import build_structure, ngram_shape, ngram_spans
+from .structures import ngram_shape, ngram_spans, tree_shape
 
 ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
 FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -57,9 +57,6 @@ class ModelConfig:
     @property
     def encoder_width(self) -> int:
         return 2 * self.hidden_dim if self.encoder == "biforest" else self.hidden_dim
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class TextClassifier:
@@ -127,8 +124,7 @@ class TextClassifier:
             shape = ngram_shape(kind, n, self.config.max_order)
             return enc.encode_dag(shape, x, self.tree_params, mu)
         if kind == "tree":
-            dag = build_structure("tree", n, self.config.max_order, parse)
-            return enc.encode_dag(dag, x, self.tree_params, mu)
+            return enc.encode_dag(tree_shape(parse, n), x, self.tree_params, mu)
         if kind == "biforest":
             return enc.encode_bi_forest(
                 x, self.left_params, self.right_params, self.config.max_order, mu
@@ -256,14 +252,3 @@ class TextClassifier:
     def parameter_count(self) -> int:
         """Trainable parameters; the frozen embedding matrix is excluded."""
         return self.store.total_size()
-
-
-def count_parameters(config: ModelConfig) -> int:
-    """Exact trainable-parameter count for a model configuration."""
-    model = TextClassifier(
-        config,
-        vocab=None,
-        label_names=[f"c{i}" for i in range(config.num_classes)],
-        embeddings=Tensor(np.zeros((1, config.embed_dim))),
-    )
-    return model.parameter_count()

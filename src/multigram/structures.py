@@ -3,10 +3,12 @@
 Every encoder in this package walks one of four unit structures built over a
 document: a binarized parse tree, a pyramid of all ngrams, or a left- or
 right-branching forest of all ngrams.  Nodes are organized into dependency
-levels so that a whole level can be evaluated at once.  An ngram structure
-depends only on (kind, length, max order): its span list is built once per
-process and shared, and the level-wise encoder reads the rest from the one
-child rule, so no node graph is kept per length.
+levels so that a whole level can be evaluated at once.  The level-wise
+encoder reads a structure's ``NgramShape``.  An ngram structure depends only
+on (kind, length, max order): its span list is built once per process and
+shared, and its children follow from the one child rule.  A parse tree's
+shape lists its child ids per level.  Node graphs (``NgramDag``) are built
+only to dump a structure.
 """
 from __future__ import annotations
 
@@ -37,9 +39,6 @@ class Span:
     def covers(self, index: int) -> bool:
         return self.start <= index < self.end
 
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True, slots=True)
 class NgramNode:
@@ -49,10 +48,6 @@ class NgramNode:
     span: Span
     children: Optional[tuple[int, int]]
     level: int
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 @dataclass(frozen=True)
@@ -66,14 +61,17 @@ class NgramDag:
 
 
 class NgramShape(NamedTuple):
-    """All the level-wise encoder reads of an ngram structure: its kind,
-    token count, effective order and span list.  ``NgramDag`` has the same
-    fields; the node graph follows from them by ``child_rows``."""
+    """All the level-wise encoder reads of a structure: its kind, token
+    count, effective order and span list in node-id order.  A parse tree
+    adds, per level above the leaves, the ids of its nodes' left and right
+    children; an ngram kind's children follow from ``child_rows``, so its
+    ``children`` is empty."""
 
     kind: str
     token_count: int
     max_order: int
     spans: tuple[Span, ...]
+    children: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
 @cache
@@ -150,11 +148,14 @@ def build_structure(
     """
     n = tokens if isinstance(tokens, int) else len(tokens)
     if kind == "tree":
-        if n < 1:
-            raise ValueError("cannot build a structure over an empty token sequence")
-        if parse is None:
-            raise BracketingError("tree structure requires a bracketed parse")
-        return _build_tree(tokens, n, parse)
+        shape = tree_shape(parse, tokens)
+        nodes = [NgramNode(i, span, None, 1) for i, span in enumerate(shape.spans[:n])]
+        levels = [tuple(range(n))]
+        for level, (left, right) in enumerate(shape.children, start=2):
+            levels.append(tuple(range(len(nodes), len(nodes) + len(left))))
+            nodes += [NgramNode(i, shape.spans[i], pair, level)
+                      for i, pair in zip(levels[-1], zip(left, right))]
+        return NgramDag("tree", n, n, tuple(nodes), tuple(levels), shape.spans)
 
     shape = ngram_shape(kind, n, max_order)
     span_ids: dict[Span, int] = {}
@@ -212,32 +213,30 @@ def read_bracketing(parse: str, n: int) -> tuple[list[str], list[tuple[int, int,
     return leaves, nodes
 
 
-def _build_tree(tokens: Sequence[str] | int, n: int, parse: str) -> NgramDag:
+def tree_shape(parse: Optional[str], tokens: Sequence[str] | int) -> NgramShape:
+    """The shape of the parse tree ``parse`` over ``tokens``, or over a bare
+    length, whose leaf words are then not compared.  Node ids run leaves
+    first, then level by level and left to right, so children precede
+    parents; a node's level is one more than its higher child's."""
+    n = tokens if isinstance(tokens, int) else len(tokens)
+    if n < 1:
+        raise ValueError("cannot build a structure over an empty token sequence")
+    if parse is None:
+        raise BracketingError("tree structure requires a bracketed parse")
     leaves, internal = read_bracketing(parse, n)
     if not isinstance(tokens, int) and [w.lower() for w in leaves] != [t.lower() for t in tokens]:
         raise BracketingError("bracketing leaves do not match the sentence tokens")
-    # Ids level by level, then by start, so children always come first.
-    nodes = [NgramNode(i, Span(i, 1), None, 1) for i in range(n)]
+    spans = list(ngram_spans(n, 1))
     id_of = {(i, i + 1): i for i in range(n)}
+    children: list[tuple[list[int], list[int]]] = []
     for height, start, mid, end in sorted(internal):
-        id_of[start, end] = len(nodes)
-        children = (id_of[start, mid], id_of[mid, end])
-        nodes.append(NgramNode(len(nodes), Span(start, end - start), children, height))
-    levels: list[list[int]] = [[] for _ in range(nodes[-1].level)]
-    for node in nodes:
-        levels[node.level - 1].append(node.id)
-    return NgramDag("tree", n, n, tuple(nodes), tuple(map(tuple, levels)),
-                    tuple(node.span for node in nodes))
-
-
-def left_branching_bracketing(tokens: Sequence[str]) -> str:
-    """``(((w1 w2) w3) w4)`` style bracketing, handy for tests and demos."""
-    if len(tokens) == 1:
-        return tokens[0]
-    out = tokens[0]
-    for tok in tokens[1:]:
-        out = f"({out} {tok})"
-    return out
+        if height > len(children) + 1:
+            children.append(([], []))
+        id_of[start, end] = len(spans)
+        spans.append(Span(start, end - start))
+        children[-1][0].append(id_of[start, mid])
+        children[-1][1].append(id_of[mid, end])
+    return NgramShape("tree", n, n, tuple(spans), tuple(tuple(map(tuple, c)) for c in children))
 
 
 def structure_records(dag: NgramDag) -> list[str]:

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from multigram.encoders import (
     init_cnn_params,
     init_tree_lstm_params,
 )
+from multigram.model import TextClassifier
 
 
 @pytest.fixture
@@ -50,6 +52,34 @@ def random_bracketing(tokens, rng) -> str:
     left = random_bracketing(tokens[:cut], rng)
     right = random_bracketing(tokens[cut:], rng)
     return f"({left} {right})"
+
+
+def left_branching_bracketing(tokens) -> str:
+    """``(((w1 w2) w3) w4)`` style bracketing."""
+    out = tokens[0]
+    for tok in tokens[1:]:
+        out = f"({out} {tok})"
+    return out
+
+
+def save_corpus(corpus, path) -> None:
+    """Write ``corpus`` as the ``label<TAB>text`` TSV that ``load_corpus`` reads."""
+    lines = [
+        f"{corpus.label_names[label]}\t{' '.join(doc)}"
+        for doc, label in zip(corpus.documents, corpus.labels)
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def count_parameters(config) -> int:
+    """Exact trainable-parameter count for a model configuration."""
+    model = TextClassifier(
+        config,
+        vocab=None,
+        label_names=[f"c{i}" for i in range(config.num_classes)],
+        embeddings=Tensor(np.zeros((1, config.embed_dim))),
+    )
+    return model.parameter_count()
 
 
 def node_for_span(dag, start, order):

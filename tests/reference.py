@@ -7,6 +7,10 @@ per structure node; ``bilstm_reference`` runs one document's chain LSTM one
 position at a time in each direction.  Slow but obviously faithful to the
 cell semantics; the encoder tests compare ``encoders.encode_dag`` and
 ``encoders.bilstm_encode_batch`` against them.
+
+The ``*_encoder_macs`` functions are the closed forms of each encoder's
+forward multiply-accumulates; instrumented counts from
+``autodiff.mac_count`` must match them exactly.
 """
 from __future__ import annotations
 
@@ -101,7 +105,7 @@ def encode_dag_reference(
     states: dict[int, NodeState] = {}
     for node_id in order:
         node = dag.nodes[node_id]
-        if node.is_leaf:
+        if node.children is None:
             x = ad.pick_row(token_embeddings, node.span.start)
             states[node_id] = cell(x, None, None, params, memory_update)
         else:
@@ -128,3 +132,50 @@ def bilstm_reference(token_embeddings: Tensor, params: BiLstmParams) -> Tensor:
             hidden[t] = state.h
         halves.append(ad.stack_rows([hidden[t] for t in range(n)]))
     return ad.concat_cols(halves)
+
+
+def forest_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
+    """Forward MACs for leftforest/rightforest.
+
+    Leaves cost three input maps.  One child of every composition is a
+    unigram whose five state maps are computed once for the whole document
+    (n rows) and sliced per level; only the other child pays per node.
+    """
+    depth = min(max_order, n)
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
+    if depth < 2:
+        return leaf
+    shared_unigram = n * gate_count(2) * hidden_dim * hidden_dim
+    internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
+    return leaf + shared_unigram + internal_nodes * gate_count(2) * hidden_dim * hidden_dim
+
+
+def pyramid_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
+    """Three-gate leaves; the pyramid shares no per-level operand, so both
+    children of every internal node pay the five state maps."""
+    depth = min(max_order, n)
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
+    internal_nodes = sum(n - k + 1 for k in range(2, depth + 1))
+    return leaf + internal_nodes * 2 * gate_count(2) * hidden_dim * hidden_dim
+
+
+def tree_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
+    """Three-gate leaves plus both children's five state maps per internal
+    node."""
+    leaf = n * gate_count(0) * embed_dim * hidden_dim
+    return leaf + (n - 1) * 2 * gate_count(2) * hidden_dim * hidden_dim
+
+
+def cnn_encoder_macs(n: int, max_order: int, embed_dim: int, hidden_dim: int) -> int:
+    return sum(
+        (n - k + 1) * k * embed_dim * hidden_dim for k in range(1, min(max_order, n) + 1)
+    )
+
+
+def bilstm_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
+    """Per direction: the first step maps its input to the three live gates;
+    every later step maps input and previous hidden state to all four."""
+    direction = hidden_dim // 2
+    inputs = (gate_count(0) + (n - 1) * gate_count(1)) * direction * embed_dim
+    recurrent = (n - 1) * gate_count(1) * direction * direction
+    return 2 * (inputs + recurrent)

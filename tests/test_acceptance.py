@@ -17,12 +17,8 @@ import pytest
 from multigram import autodiff as ad
 from multigram.autodiff import Tensor
 from multigram.data import Vocab, load_corpus, split_stratified
-from multigram.encoders import (
-    cnn_encoder_macs,
-    forest_encoder_macs,
-)
 from multigram.explain import FidelityRow, fidelity_harness
-from multigram.model import ModelConfig, TextClassifier, count_parameters
+from multigram.model import ModelConfig, TextClassifier
 from multigram.structures import build_structure
 from multigram.synthetic import make_planted_corpus
 from multigram.training import (
@@ -33,8 +29,15 @@ from multigram.training import (
     train,
 )
 
-from conftest import level_schedule, node_for_span, random_bracketing, unfold_tokens
+from conftest import (
+    count_parameters,
+    level_schedule,
+    node_for_span,
+    random_bracketing,
+    unfold_tokens,
+)
 from gradcheck import check_gradients
+from reference import cnn_encoder_macs, forest_encoder_macs
 
 
 def verdict(number, label, ok, detail=""):

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from multigram.cli import main
-from multigram.data import save_corpus
-from multigram.structures import left_branching_bracketing
 from multigram.synthetic import make_planted_corpus
 
-from conftest import rewrite_checkpoint_header
+from conftest import left_branching_bracketing, rewrite_checkpoint_header, save_corpus
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +42,16 @@ class TestDumpStructure:
         assert all(len(line.split("\t")) == 5 for line in lines)
 
     def test_tree_needs_parse(self, capsys):
-        assert run(["dump-structure", "--kind", "tree", "--tokens", "a b"]) == 2
+        assert run(["dump-structure", "--kind", "tree", "--tokens", "a b"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: dump-structure: --kind tree needs --parse\n"
+        assert captured.out == ""
+
+    def test_tree_from_parse(self, capsys):
+        assert run(["dump-structure", "--kind", "tree", "--tokens", "a b c",
+                    "--parse", "((a b) c)"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[3:] == ["3\t0\t2\t0\t1", "4\t0\t3\t3\t2"]
 
     def test_tokens_or_length_required(self, capsys):
         assert run(["dump-structure", "--kind", "pyramid"]) == 1
@@ -324,6 +331,23 @@ class TestEvalExplainBench:
         cells = {tuple(line.split("\t")[:2]) for line in lines[1:]}
         assert cells == {("leftforest", "1"), ("leftforest", "2"), ("bilstm", "-")}
 
+    @pytest.mark.parametrize("docs", [4, 20, 49])
+    def test_bench_docs_below_the_split_minimum_is_a_usage_error(self, docs, capsys):
+        assert run(["bench", *FAST, "--docs", docs, "--doc-len", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: bench: --docs must be at least 50" in captured.err
+        assert captured.out == ""
+
+    def test_bench_on_a_too_small_corpus_file_is_a_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "small.tsv"
+        corpus.write_text("a\tx y\nb\ty z\na\tz x\nb\tx x\n")
+        assert run(["bench", "--corpus", corpus, *FAST]) == 2
+        assert "data error: class 'a' has only 2 instances" in capsys.readouterr().err
+
+    def test_bench_parses_need_a_corpus(self, capsys):
+        assert run(["bench", *FAST, "--encoders", "tree", "--parses", "p.txt"]) == 1
+        assert "bench: --parses needs --corpus" in capsys.readouterr().err
+
     def test_fidelity_subcommand(self, trained_run, corpus_path, tmp_path, capsys):
         out_file = tmp_path / "fidelity.tsv"
         code = run(["fidelity", "--checkpoint", trained_run, "--corpus", corpus_path,
@@ -383,6 +407,29 @@ class TestTreeCheckpoint:
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "n\tcondition\taccuracy" and len(lines) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--encoder", "tree"],
+        ["ablate", "--encoders", "leftforest,tree"],
+        ["bench", "--encoders", "tree"],
+    ], ids=["train", "ablate", "bench"])
+    def test_a_tree_run_without_parses_is_a_usage_error(self, corpus_path, tmp_path, capsys,
+                                                        args):
+        assert run([*args, "--corpus", corpus_path, *FAST,
+                    *(["--output-dir", tmp_path / "run"] if args[0] == "train" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {args[0]}: the tree encoder needs --parses\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "bench"])
+    def test_ablate_and_bench_run_the_tree_on_parses(self, tree_run, corpus_path, capsys,
+                                                    command):
+        _, parses = tree_run
+        extra = ["--orders", "2"] if command == "ablate" else []
+        assert run([command, "--corpus", corpus_path, "--parses", parses, *FAST,
+                    "--encoders", "tree", *extra]) == 0
+        assert "\ntree\t" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["fidelity", "explain", "eval"])
     def test_a_tree_checkpoint_without_parses_is_a_usage_error(self, tree_run, corpus_path,

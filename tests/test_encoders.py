@@ -7,17 +7,12 @@ from multigram.encoders import (
     TreeLstmParams,
     bilstm_encode,
     bilstm_encode_batch,
-    bilstm_encoder_macs,
     cnn_encode,
-    cnn_encoder_macs,
     encode_bi_forest,
     encode_dag,
-    forest_encoder_macs,
-    pyramid_encoder_macs,
     init_bilstm_params,
-    tree_encoder_macs,
 )
-from multigram.structures import build_structure
+from multigram.structures import build_structure, ngram_shape, tree_shape
 
 from conftest import (
     fresh_bilstm_params,
@@ -29,8 +24,13 @@ from conftest import (
 from gradcheck import check_gradients
 from reference import (
     NodeState,
+    bilstm_encoder_macs,
     bilstm_reference,
+    cnn_encoder_macs,
     encode_dag_reference,
+    forest_encoder_macs,
+    pyramid_encoder_macs,
+    tree_encoder_macs,
     tree_lstm_cell,
     zero_state,
 )
@@ -114,8 +114,7 @@ class TestEncodeDag:
     def test_single_token_equals_leaf_cell(self):
         _, params = fresh_tree_params(4, 3, seed=1)
         x = random_embeddings(1, 4, seed=2)
-        dag = build_structure("pyramid", 1, 5)
-        out = encode_dag(dag, x, params)
+        out = encode_dag(ngram_shape("pyramid", 1, 5), x, params)
         assert out.h.shape == (1, 3)
         leaf = tree_lstm_cell(ad.pick_row(x, 0), None, None, params)
         np.testing.assert_allclose(out.h.data[0], leaf.h.data)
@@ -126,9 +125,8 @@ class TestEncodeDag:
         _, params = fresh_tree_params(5, 4, seed=3)
         for n in (1, 2, 5, 8):
             x = random_embeddings(n, 5, seed=n)
-            dag = build_structure(kind, n, 3)
-            fast = encode_dag(dag, x, params, memory_update)
-            slow = encode_dag_reference(dag, x, params, memory_update)
+            fast = encode_dag(ngram_shape(kind, n, 3), x, params, memory_update)
+            slow = encode_dag_reference(build_structure(kind, n, 3), x, params, memory_update)
             np.testing.assert_allclose(fast.h.data, slow.h.data, atol=1e-12)
             assert fast.spans == slow.spans
 
@@ -141,17 +139,18 @@ class TestEncodeDag:
             parse = random_bracketing(tokens, rng)
             dag = build_structure("tree", tokens, 7, parse=parse)
             x = random_embeddings(n, 5, seed=n + 50)
-            fast = encode_dag(dag, x, params, memory_update)
+            fast = encode_dag(tree_shape(parse, tokens), x, params, memory_update)
             slow = encode_dag_reference(dag, x, params, memory_update)
             np.testing.assert_allclose(fast.h.data, slow.h.data, atol=1e-12)
+            assert fast.spans == slow.spans
 
     def test_low_orders_agree_pyramid_vs_leftforest_but_order3_differs(self):
         # Orders 1 and 2 have identical sub-structures in every ngram kind;
         # at order 3 the decompositions genuinely differ.
         _, params = fresh_tree_params(5, 4, seed=9)
         x = random_embeddings(6, 5, seed=10)
-        pyramid = encode_dag(build_structure("pyramid", 6, 3), x, params)
-        leftforest = encode_dag(build_structure("leftforest", 6, 3), x, params)
+        pyramid = encode_dag(ngram_shape("pyramid", 6, 3), x, params)
+        leftforest = encode_dag(ngram_shape("leftforest", 6, 3), x, params)
         order12 = 6 + 5
         np.testing.assert_allclose(
             pyramid.h.data[:order12], leftforest.h.data[:order12], atol=1e-12
@@ -196,7 +195,7 @@ class TestEncodeDag:
         counts = []
         for n, max_order in ((2, 7), (9, 4), (40, 7)):
             with Tape() as tape:
-                encode_dag(build_structure(kind, n, max_order), random_embeddings(n, 5),
+                encode_dag(ngram_shape(kind, n, max_order), random_embeddings(n, 5),
                            params, memory_update)
             counts.append(len(tape))
         assert tuple(counts) == expected
@@ -204,22 +203,22 @@ class TestEncodeDag:
     def test_misaligned_embeddings_rejected(self):
         _, params = fresh_tree_params(4, 3)
         with pytest.raises(ad.ShapeError):
-            encode_dag(build_structure("pyramid", 5, 2), random_embeddings(4, 4), params)
+            encode_dag(ngram_shape("pyramid", 5, 2), random_embeddings(4, 4), params)
 
     @pytest.mark.parametrize("kind", [*ALL_NGRAM_KINDS, "tree"])
     @pytest.mark.parametrize("memory_update", ["hidden", "cell"])
     def test_encoder_gradients(self, kind, memory_update):
         store, params = fresh_tree_params(3, 3, seed=21)
         n = 5
-        parse = None
         if kind == "tree":
             tokens = [f"t{i}" for i in range(n)]
-            parse = random_bracketing(tokens, np.random.default_rng(2))
-        dag = build_structure(kind, n, 3, parse=parse)
+            shape = tree_shape(random_bracketing(tokens, np.random.default_rng(2)), n)
+        else:
+            shape = ngram_shape(kind, n, 3)
         x = random_embeddings(n, 3, seed=22)
 
         def closure():
-            return ad.sum_all(encode_dag(dag, x, params, memory_update).h)
+            return ad.sum_all(encode_dag(shape, x, params, memory_update).h)
 
         report = check_gradients(closure, store, max_coords=24)
         assert report.ok, report.per_tensor
@@ -390,18 +389,16 @@ class TestMacAccounting:
             ("rightforest", forest_encoder_macs),
         ):
             for n, order in ((11, 4), (1, 3), (5, 1)):
-                dag = build_structure(kind, n, order)
                 ad.reset_mac_count()
-                encode_dag(dag, random_embeddings(n, 7, seed=24), params)
+                encode_dag(ngram_shape(kind, n, order), random_embeddings(n, 7, seed=24), params)
                 assert ad.mac_count() == formula(n, order, 7, 6), (kind, n, order)
 
     def test_tree_instrumentation_matches_closed_form(self):
         _, params = fresh_tree_params(7, 6, seed=23)
         tokens = [f"t{i}" for i in range(9)]
         parse = random_bracketing(tokens, np.random.default_rng(25))
-        dag = build_structure("tree", tokens, 9, parse=parse)
         ad.reset_mac_count()
-        encode_dag(dag, random_embeddings(9, 7, seed=26), params)
+        encode_dag(tree_shape(parse, tokens), random_embeddings(9, 7, seed=26), params)
         assert ad.mac_count() == tree_encoder_macs(9, 7, 6)
 
     def test_cnn_instrumentation_matches_closed_form(self):

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from multigram import autodiff as ad
+from multigram import explain
 from multigram.autodiff import Tensor, gate_count
 from multigram.data import Vocab
-from multigram.encoders import cnn_encoder_macs, forest_encoder_macs
-from multigram.explain import _collect_alphas
 from multigram.model import ENCODER_KINDS, ModelConfig, TextClassifier
-from multigram.training import EncodedDocs, evaluate, forward_chunks
+from multigram.training import DataBundle, EncodedDocs, TrainConfig, evaluate, forward_chunks
 
 from conftest import random_bracketing
+from reference import cnn_encoder_macs, forest_encoder_macs
 
 MAX_ORDER = 4
 # A 1-token document, documents shorter than MAX_ORDER, and longer ones.
@@ -103,7 +103,19 @@ def test_fidelity_collects_its_outputs_through_the_chunk_pass(encoder, monkeypat
         raise AssertionError("forward_doc was called")
 
     monkeypatch.setattr(TextClassifier, "forward_doc", refuse)
-    assert_outputs_match(_collect_alphas(model, docs), expected, atol=1e-12)
+    # The harness reduces the train split, then the dev split, by these outputs.
+    reduced = []
+
+    def keep_top_words(tokens, output, n):
+        reduced.append(output)
+        return list(tokens[:n])
+
+    monkeypatch.setattr(explain, "keep_top_words", keep_top_words)
+    bundle = DataBundle(model.vocab, model.label_names, model.embeddings, 1.0, docs, docs, docs)
+    probe = TrainConfig(encoder="bilstm", embed_dim=10, hidden_dim=4, attention_dim=3,
+                        epochs=1, patience=1)
+    explain.fidelity_harness(model, bundle, n_values=[1], probe_config=probe)
+    assert_outputs_match(reduced, expected + expected, atol=1e-12)
 
 
 def test_an_empty_document_is_refused():

@@ -8,9 +8,9 @@ from multigram import autodiff as ad
 from multigram.autodiff import Tape, Tensor
 from multigram.data import Vocab
 from multigram.errors import DataError
-from multigram.model import ENCODER_KINDS, ModelConfig, TextClassifier, count_parameters
-from multigram.structures import left_branching_bracketing
+from multigram.model import ENCODER_KINDS, ModelConfig, TextClassifier
 
+from conftest import count_parameters, left_branching_bracketing
 from gradcheck import check_gradients
 
 

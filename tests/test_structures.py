@@ -9,11 +9,17 @@ from multigram.structures import (
     BracketingError,
     Span,
     build_structure,
-    left_branching_bracketing,
     structure_records,
 )
 
-from conftest import level_schedule, ngram_text, node_for_span, random_bracketing, unfold_tokens
+from conftest import (
+    left_branching_bracketing,
+    level_schedule,
+    ngram_text,
+    node_for_span,
+    random_bracketing,
+    unfold_tokens,
+)
 
 TOKENS4 = ["w1", "w2", "w3", "w4"]
 NGRAM_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -243,7 +249,7 @@ class TestBracketing:
         tokens = [f"t{i}" for i in range(n)]
         parse = random_bracketing(tokens, np.random.default_rng(seed))
         dag = build_structure("tree", tokens, 7, parse=parse)
-        leaves = [node for node in dag.nodes if node.is_leaf]
+        leaves = [node for node in dag.nodes if node.children is None]
         assert [ngram_text(dag, leaf.id, tokens) for leaf in leaves] == [[t] for t in tokens]
         if n > 1:
             with pytest.raises(BracketingError, match="match"):
@@ -269,7 +275,7 @@ class TestBracketing:
         assert [node.id for node in dag.nodes] == list(range(2 * n - 1))
         for node in dag.nodes:
             assert dag.spans[node.id] == node.span
-            if node.is_leaf:
+            if node.children is None:
                 assert node.level == 1 and node.span.order == 1
                 continue
             left, right = (dag.nodes[i] for i in node.children)
@@ -283,7 +289,7 @@ class TestBracketing:
             tuple(node.id for node in dag.nodes if node.level == level)
             for level in range(1, len(dag.levels) + 1)
         )
-        assert [node.span.start for node in dag.nodes if node.is_leaf] == list(range(n))
+        assert [node.span.start for node in dag.nodes if node.children is None] == list(range(n))
 
 
 def test_structure_records_format():

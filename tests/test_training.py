@@ -7,7 +7,7 @@ from multigram import structures
 from multigram.autodiff import NumericError, ParamStore, Tape, Tensor
 from multigram.data import Corpus
 from multigram.errors import DataError
-from multigram.model import TextClassifier
+from multigram.model import ENCODER_KINDS, TextClassifier
 from multigram.training import (
     Adam,
     DataBundle,
@@ -24,6 +24,8 @@ from multigram.training import (
     prepare_bundle,
     train,
 )
+
+from conftest import random_bracketing
 
 
 class TestAdam:
@@ -269,25 +271,32 @@ def mixed_length_corpus(lengths, per_class=4):
     return Corpus(docs, labels, part.label_names)
 
 
-@pytest.mark.parametrize("encoder", ["pyramid", "leftforest", "rightforest", "biforest"])
-def test_ngram_encoders_build_no_node_graph(encoder, monkeypatch):
-    # The ngram encoders read a structure's kind, length, effective order
-    # and span list; no document length costs them a graph of nodes.
+@pytest.mark.parametrize("encoder", ENCODER_KINDS)
+def test_no_encoder_builds_a_node_graph(encoder, monkeypatch):
+    # Every encoder reads a structure's shape: its kind, length, effective
+    # order and span list, and a parse tree's child ids.  No training step,
+    # evaluation or forward_doc builds a node graph for any document.
     lengths = (29, 31, 37, 41, 43)
-    bundle = prepare_bundle(mixed_length_corpus(lengths), None, embed_dim=12, seed=1)
+    corpus = mixed_length_corpus(lengths)
+    rng = np.random.default_rng(2)
+    corpus.parses = [random_bracketing(doc, rng) for doc in corpus.documents]
+    bundle = prepare_bundle(corpus, None, embed_dim=12, seed=1)
 
-    def no_nodes(*args, **kwargs):
-        raise AssertionError("an NgramNode was built")
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a node graph was built")
 
-    monkeypatch.setattr(structures, "NgramNode", no_nodes)
+    monkeypatch.setattr(structures, "NgramNode", no_graph)
+    monkeypatch.setattr(structures, "NgramDag", no_graph)
     result = train(small_config(encoder=encoder, max_order=4, epochs=1, patience=1), bundle)
     evaluate(result.model, bundle.test)
     seen = set()
-    for ids in bundle.train.ids:
-        if len(ids) not in seen:
-            seen.add(len(ids))
-            output, _ = result.model.forward_doc(ids)
-            assert len(output.unit_spans) == len(structures.ngram_spans(len(ids), 4))
+    for i, ids in enumerate(bundle.train.ids):
+        n = len(ids)
+        if n not in seen:
+            seen.add(n)
+            output, _ = result.model.forward_doc(ids, parse=bundle.train.parse_for(i))
+            units = {"tree": 2 * n - 1, "bilstm": n}.get(encoder, len(structures.ngram_spans(n, 4)))
+            assert len(output.unit_spans) == units
     assert seen == set(lengths)
 
 
@@ -362,7 +371,7 @@ class TestBenchmark:
         assert deep[0].parameters == rows[0].parameters
 
     def test_macs_match_closed_form_mixture(self):
-        from multigram.encoders import cnn_encoder_macs, forest_encoder_macs
+        from reference import cnn_encoder_macs, forest_encoder_macs
 
         corpus = toy_corpus(per_class=10, length=7)
         bundle = prepare_bundle(corpus, None, embed_dim=10, seed=1)
@@ -375,9 +384,7 @@ class TestBenchmark:
         assert rows[1].encoder_macs == expect_cnn
 
     def test_tree_macs_over_mixed_parses_match_closed_form(self):
-        from multigram.encoders import tree_encoder_macs
-
-        from conftest import random_bracketing
+        from reference import tree_encoder_macs
 
         rng = np.random.default_rng(4)
         docs = [[f"t{rng.integers(0, 20)}" for _ in range(rng.integers(1, 12))]
