@@ -5,11 +5,14 @@ Trains every encoder, with each memory update where the encoder has one
 (12 configurations), for two seeded epochs on a small planted corpus with
 random parses, then prints one SHA-256 per configuration over:
 
+- the bundle's vocabulary;
 - the trained parameters (``ParamStore.state_dict``);
 - the epoch history, without its wall-clock seconds;
 - ``evaluate``'s predictions on the test split;
 - ``forward_chunks``' outputs on the dev and test splits;
-- ``forward_doc``'s outputs and losses on the test split.
+- ``forward_doc``'s outputs and losses on the test split;
+- ``extract_evidence``'s report on each test document at thresholds 0.05
+  and 0.0 (the latter reports every unit, so it fixes their whole order).
 
 A refactor that keeps every digest computes the same numbers bit for bit.
 Compare two checkouts by running each one's copy of this script; it
@@ -31,6 +34,7 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from multigram.explain import extract_evidence  # noqa: E402
 from multigram.synthetic import make_planted_corpus  # noqa: E402
 from multigram.training import (  # noqa: E402
     TrainConfig,
@@ -81,6 +85,10 @@ class Digest:
             self.array(field)
         self.text([(span.start, span.order) for span in output.unit_spans])
 
+    def report(self, report) -> None:
+        self.text((report.predicted_label, report.tokens, report.threshold))
+        self.text([(ev.span.start, ev.span.order, ev.text, ev.weight) for ev in report.evidence])
+
 
 def digest(bundle, encoder: str, memory_update: str) -> str:
     config = TrainConfig(
@@ -89,6 +97,7 @@ def digest(bundle, encoder: str, memory_update: str) -> str:
     )
     result = train(config, bundle)
     model, out = result.model, Digest()
+    out.text(bundle.vocab.tokens)
     for name, value in sorted(model.store.state_dict().items()):
         out.text(name)
         out.array(value)
@@ -99,6 +108,10 @@ def digest(bundle, encoder: str, memory_update: str) -> str:
     for docs in (bundle.dev, bundle.test):
         for output in forward_chunks(model, docs):
             out.output(output)
+    for output, tokens in zip(forward_chunks(model, bundle.test), bundle.test.tokens):
+        label = bundle.label_names[output.predicted]
+        for threshold in (0.05, 0.0):
+            out.report(extract_evidence(output, tokens, label, threshold))
     for i in range(len(bundle.test)):
         output, loss = model.forward_doc(
             bundle.test.ids[i], gold=int(bundle.test.labels[i]), parse=bundle.test.parse_for(i)

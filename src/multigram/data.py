@@ -98,15 +98,20 @@ def load_corpus(
     path, label_names: Optional[Sequence[str]] = None, parse_path=None
 ) -> Corpus:
     """Read a ``label<TAB>text`` TSV.  When ``label_names`` is given, any
-    other label is an error; otherwise labels are collected and sorted."""
+    other label is an error; otherwise labels are collected and sorted.
+    Equal tokens and labels share one string, so the documents hold one
+    string per distinct token, not one per occurrence."""
     raw: list[tuple[int, str, list[str]]] = []  # (file line, label, tokens)
+    shared: dict[str, str] = {}
     for lineno, line in read_lines(path, "corpus"):
         if not line.strip():
             continue
         if "\t" not in line:
             raise DataError(f"{path}:{lineno}: expected 'label<TAB>text'")
         label, text = line.split("\t", 1)
+        label = shared.setdefault(label, label)
         tokens = tokenize(text)
+        tokens = list(map(shared.setdefault, tokens, tokens))
         if not tokens:
             raise DataError(f"{path}:{lineno}: document is empty after tokenization")
         raw.append((lineno, label, tokens))
@@ -183,8 +188,11 @@ class Vocab:
 
     @classmethod
     def build(cls, documents: Sequence[Sequence[str]]) -> "Vocab":
-        seen = sorted({tok for doc in documents for tok in doc})
-        return cls([OOV_TOKEN] + seen)
+        """``OOV_TOKEN`` at ``OOV_ID``, then the documents' distinct tokens
+        sorted; a document token spelled ``OOV_TOKEN`` reads the OOV row."""
+        seen = {tok for doc in documents for tok in doc}
+        seen.discard(OOV_TOKEN)
+        return cls([OOV_TOKEN] + sorted(seen))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -208,10 +216,10 @@ def load_embeddings(
     if path is not None:
         for lineno, line in read_lines(path, "embedding"):
             # Only lines in the vocabulary are split and checked.
-            token, sep, values = line.partition(" ")
-            if not sep or token not in vocab.id_of:
+            token, _, values = line.partition(" ")
+            if token not in vocab.id_of:
                 continue
-            parts = values.split(" ")
+            parts = values.split(" ") if values else []
             if len(parts) != dim:
                 raise DataError(f"{path}:{lineno}: {len(parts)} values, expected {dim}")
             try:

@@ -169,6 +169,15 @@ class TestConfigFile:
         assert code == 2
         assert f"vectors.txt:1: {problem}" in capsys.readouterr().err
 
+    def test_embedding_line_without_values_is_a_data_error(self, corpus_path, tmp_path, capsys):
+        word = corpus_path.read_text().split("\n")[0].split("\t")[1].split()[0]
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text(f"{word}\n")
+        code = run(["train", "--corpus", corpus_path, "--embeddings", embeddings, *FAST,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert "vectors.txt:1: 0 values, expected 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, good_line", [
         ("--corpus", "a\tb c"), ("--parses", "(b c)"), ("--embeddings", "zzz 0.5"),
         ("--config", "# a comment"),

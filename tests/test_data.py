@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,25 @@ class TestLoadCorpus:
         parse_path = write(tmp_path, "p.txt", "(other words)\n")
         assert load_corpus(corpus_path, parse_path=parse_path).parses == ["(other words)"]
 
+    def test_documents_hold_one_string_per_distinct_token(self, tmp_path):
+        rng = np.random.default_rng(0)
+        words = [f"word{i}" for i in range(1_000)]
+        lines = [" ".join(words[j] for j in rng.integers(0, 1_000, 200)) for _ in range(2_000)]
+        text = "".join(f"c{i % 3}\t{line}\n" for i, line in enumerate(lines))
+        path = write(tmp_path, "big.tsv", text)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / (2_000 * 200) <= 12  # a string per occurrence is about 60 B
+        first, second = corpus.documents[0], corpus.documents[1]
+        token = next(tok for tok in first if tok in second)
+        assert first[first.index(token)] is second[second.index(token)]
+        assert corpus.label_names == ["c0", "c1", "c2"]
+
     def test_length_stats(self, tmp_path):
         path = write(tmp_path, "c.tsv", "a\tx y z\nb\tq\n")
         stats = load_corpus(path).length_stats()
@@ -176,6 +197,14 @@ class TestVocabAndEmbeddings:
         assert vocab.tokens[0] == "<oov>"
         assert vocab.encode(["a", "zzz", "c"]).tolist() == [vocab.id_of["a"], 0, vocab.id_of["c"]]
 
+    def test_corpus_token_spelled_oov_reads_the_oov_row(self, tmp_path):
+        vocab = Vocab.build([["<oov>", "a"], ["b"]])
+        assert vocab.tokens == ["<oov>", "a", "b"]
+        assert len(vocab) == 3
+        assert vocab.encode(["<oov>", "a", "b"]).tolist() == [0, 1, 2]
+        corpus = load_corpus(write(tmp_path, "c.tsv", "x\t<OOV> a\ny\tb\n"))
+        assert Vocab.build(corpus.documents).encode(corpus.documents[0]).tolist() == [0, 1]
+
     def test_file_vector_copied_exactly(self, tmp_path):
         vocab = Vocab.build([["apple", "pear"]])
         path = write(tmp_path, "e.txt", "apple 1.5 -2.0 0.25\n")
@@ -203,6 +232,13 @@ class TestVocabAndEmbeddings:
         vocab = Vocab.build([["apple"]])
         path = write(tmp_path, "e.txt", "apple 1 2\n")
         with pytest.raises(DataError, match=":1"):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
+    @pytest.mark.parametrize("line", ["apple", "apple "], ids=["bare", "trailing-space"])
+    def test_line_without_values_names_line(self, tmp_path, line):
+        vocab = Vocab.build([["apple", "pear"]])
+        path = write(tmp_path, "e.txt", f"pear 1 2 3\n{line}\n")
+        with pytest.raises(DataError, match=r"e\.txt:2: 0 values, expected 3"):
             load_embeddings(path, vocab, dim=3, seed=0)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -61,6 +61,14 @@ class TestExtractEvidence:
             (2, pytest.approx(0.2)),
         ]
 
+    def test_tied_weights_at_zero_threshold_keep_weight_then_start_order(self):
+        spans = [(3, 1), (1, 1), (2, 1), (0, 2), (2, 2), (1, 2)]
+        output = fake_output([0.1, 0.25, 0.1, 0.1, 0.25, 0.2], spans)
+        report = extract_evidence(output, ["a", "b", "c", "d"], "pos", threshold=0.0)
+        assert [(ev.span.start, ev.span.order, ev.weight) for ev in report.evidence] == [
+            (1, 1, 0.25), (2, 2, 0.25), (1, 2, 0.2), (0, 2, 0.1), (2, 1, 0.1), (3, 1, 0.1),
+        ]
+
     def test_overlapping_spans_all_retained(self):
         output = fake_output([0.5, 0.5], [(0, 2), (1, 2)])
         report = extract_evidence(output, ["a", "b", "c"], "pos", threshold=0.1)
