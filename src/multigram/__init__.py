@@ -39,7 +39,6 @@ from .explain import (
 )
 from .model import ModelConfig, TextClassifier
 from .structures import (
-    NgramDag,
     NgramShape,
     Span,
     build_structure,

@@ -19,6 +19,7 @@ from .autodiff import NumericError
 from .data import load_checkpoint, load_corpus, read_lines, save_checkpoint
 from .errors import DataError, UsageError
 from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_highlights
+from .model import ENCODER_KINDS
 from .structures import STRUCTURE_KINDS, build_structure, structure_records
 from .synthetic import make_planted_corpus
 from .training import (
@@ -133,9 +134,7 @@ def echo_config(command: str, config: TrainConfig | None, args, extra: dict | No
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--encoder", choices=(
-        "tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn"
-    ))
+    parser.add_argument("--encoder", choices=ENCODER_KINDS)
     parser.add_argument("--learning-rate", type=float, dest="learning_rate")
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--dropout", type=float)
@@ -347,13 +346,10 @@ def cmd_ablate(args) -> int:
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
     lines = ["encoder\tK\tdev_acc"]
     for encoder in encoders:
-        if encoder == "bilstm":
-            result = train(replace(config, encoder="bilstm"), bundle)
-            lines.append(f"bilstm\t-\t{result.best_dev_accuracy:.4f}")
-            print(lines[-1])
-            continue
-        for order in orders:
-            result = train(replace(config, encoder=encoder, max_order=order), bundle)
+        # The tree and the BiLSTM read no order: one run each, K "-".
+        for order in ("-",) if encoder in ("tree", "bilstm") else orders:
+            order_setting = {} if order == "-" else {"max_order": order}
+            result = train(replace(config, encoder=encoder, **order_setting), bundle)
             lines.append(f"{encoder}\t{order}\t{result.best_dev_accuracy:.4f}")
             print(lines[-1])
     text = "\n".join(lines) + "\n"
@@ -399,15 +395,16 @@ def cmd_bench(args) -> int:
 def cmd_dump_structure(args) -> int:
     if args.tokens:
         tokens = args.tokens.split()
-    elif args.length:
-        tokens = [f"w{i}" for i in range(args.length)]
+    elif args.length is not None:
+        tokens = args.length  # a bare length: a tree's leaf words go unchecked
     else:
         raise UsageError("dump-structure needs --tokens or --length")
-    if not tokens or args.max_order < 1:
+    n = tokens if isinstance(tokens, int) else len(tokens)
+    if n < 1 or args.max_order < 1:
         raise UsageError("dump-structure needs at least one token and --max-order of at least 1")
     _refuse_tree_without_parses(args, [args.kind], "--kind tree")
-    dag = build_structure(args.kind, tokens, args.max_order, parse=args.parse)
-    text = "\n".join(structure_records(dag)) + "\n"
+    shape = build_structure(args.kind, tokens, args.max_order, parse=args.parse)
+    text = "\n".join(structure_records(shape)) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     print(text, end="")

@@ -23,10 +23,9 @@ from .attention import (
 )
 from .autodiff import ParamStore, Tensor
 from .errors import DataError
-from .structures import ngram_shape, ngram_spans, tree_shape
+from .structures import NGRAM_KINDS, STRUCTURE_KINDS, ngram_shape, ngram_spans, tree_shape
 
-ENCODER_KINDS = ("tree", "pyramid", "leftforest", "rightforest", "biforest", "bilstm", "cnn")
-FOREST_KINDS = ("pyramid", "leftforest", "rightforest")
+ENCODER_KINDS = (*STRUCTURE_KINDS, "biforest", "bilstm", "cnn")
 
 
 @dataclass
@@ -96,7 +95,7 @@ class TextClassifier:
         self.right_params = None
         self.bilstm_params = None
         self.cnn_params = None
-        if config.encoder in ("tree", *FOREST_KINDS):
+        if config.encoder in STRUCTURE_KINDS:
             self.tree_params = enc.init_tree_lstm_params(self.store, "encoder", e, d, rng)
         elif config.encoder == "biforest":
             self.left_params = enc.init_tree_lstm_params(self.store, "encoder.left", e, d, rng)
@@ -120,7 +119,7 @@ class TextClassifier:
         kind = self.config.encoder
         n = x.shape[0]
         mu = self.config.memory_update
-        if kind in FOREST_KINDS:
+        if kind in NGRAM_KINDS:
             shape = ngram_shape(kind, n, self.config.max_order)
             return enc.encode_dag(shape, x, self.tree_params, mu)
         if kind == "tree":

@@ -3,12 +3,11 @@
 Every encoder in this package walks one of four unit structures built over a
 document: a binarized parse tree, a pyramid of all ngrams, or a left- or
 right-branching forest of all ngrams.  Nodes are organized into dependency
-levels so that a whole level can be evaluated at once.  The level-wise
-encoder reads a structure's ``NgramShape``.  An ngram structure depends only
-on (kind, length, max order): its span list is built once per process and
-shared, and its children follow from the one child rule.  A parse tree's
-shape lists its child ids per level.  Node graphs (``NgramDag``) are built
-only to dump a structure.
+levels so that a whole level can be evaluated at once.  A structure is an
+``NgramShape``: the encoders read it, and ``dump-structure`` prints it.  An
+ngram structure depends only on (kind, length, max order): its span list is
+built once per process and shared, and its children follow from the one
+child rule.  A parse tree's shape lists its child ids per level.
 """
 from __future__ import annotations
 
@@ -17,8 +16,6 @@ from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DataError
-
-STRUCTURE_KINDS = ("tree", "pyramid", "leftforest", "rightforest")
 
 
 class BracketingError(DataError):
@@ -38,26 +35,6 @@ class Span:
 
     def covers(self, index: int) -> bool:
         return self.start <= index < self.end
-
-
-@dataclass(frozen=True, slots=True)
-class NgramNode:
-    """One unit in a structure: a span plus optional (left, right) children."""
-
-    id: int
-    span: Span
-    children: Optional[tuple[int, int]]
-    level: int
-
-
-@dataclass(frozen=True)
-class NgramDag:
-    kind: str
-    token_count: int
-    max_order: int
-    nodes: tuple[NgramNode, ...]
-    levels: tuple[tuple[int, ...], ...]
-    spans: tuple[Span, ...]  # spans[i] is nodes[i].span
 
 
 class NgramShape(NamedTuple):
@@ -93,6 +70,8 @@ _CHILD_RULES = {
     "leftforest": ("prefix", "last"),
     "rightforest": ("first", "suffix"),
 }
+NGRAM_KINDS = tuple(_CHILD_RULES)
+STRUCTURE_KINDS = ("tree", *NGRAM_KINDS)
 
 
 class ChildRows(NamedTuple):
@@ -107,8 +86,8 @@ class ChildRows(NamedTuple):
 
 def child_rows(kind: str, order: int) -> tuple[ChildRows, ChildRows]:
     """The left and right ``ChildRows`` of the spans of ``order`` >= 2 in
-    the ngram structure ``kind``: the one child rule that both the DAG
-    builder and the level-wise encoder read."""
+    the ngram structure ``kind``: the one child rule that both the
+    level-wise encoder and ``structure_records`` read."""
     parts = {
         "prefix": ChildRows(order - 1, 0, False),
         "suffix": ChildRows(order - 1, 1, False),
@@ -136,42 +115,38 @@ def build_structure(
     tokens: Sequence[str] | int,
     max_order: int,
     parse: Optional[str] = None,
-) -> NgramDag:
-    """Build the unit structure of the given kind over ``tokens``, with
-    every node and its children.
-
-    ``tokens`` may be a bare length when only span structure matters.
-    ``max_order`` is clamped to the sentence length for the ngram kinds and
-    ignored for ``tree`` (a parse tree contributes whatever phrases its
-    bracketing defines).  Node ids are assigned level by level, left to
-    right, so ids are deterministic and children always precede parents.
-    """
-    n = tokens if isinstance(tokens, int) else len(tokens)
+) -> NgramShape:
+    """The shape of the structure ``kind`` over ``tokens``, or over a bare
+    length: ``tree_shape`` of ``parse`` for a tree (which ignores
+    ``max_order``), else ``ngram_shape``."""
     if kind == "tree":
-        shape = tree_shape(parse, tokens)
-        nodes = [NgramNode(i, span, None, 1) for i, span in enumerate(shape.spans[:n])]
-        levels = [tuple(range(n))]
-        for level, (left, right) in enumerate(shape.children, start=2):
-            levels.append(tuple(range(len(nodes), len(nodes) + len(left))))
-            nodes += [NgramNode(i, shape.spans[i], pair, level)
-                      for i, pair in zip(levels[-1], zip(left, right))]
-        return NgramDag("tree", n, n, tuple(nodes), tuple(levels), shape.spans)
+        return tree_shape(parse, tokens)
+    return ngram_shape(kind, tokens if isinstance(tokens, int) else len(tokens), max_order)
 
-    shape = ngram_shape(kind, n, max_order)
-    span_ids: dict[Span, int] = {}
-    nodes: list[NgramNode] = []
-    levels: list[list[int]] = [[] for _ in range(shape.max_order)]
-    for node_id, span in enumerate(shape.spans):
-        children = None
-        if span.order > 1:
-            children = tuple(
-                span_ids[Span(span.start + side.shift, side.order)]
-                for side in child_rows(kind, span.order)
+
+def structure_records(shape: NgramShape) -> list[str]:
+    """Line-oriented dump: ``id<TAB>start<TAB>order<TAB>leftId<TAB>rightId``
+    with -1 for an absent child.  Ids are positions in ``shape.spans``: an
+    ngram span (s, k) has id ``offset[k] + s``, and a tree lists its
+    children's ids."""
+    n = shape.token_count
+    if shape.kind == "tree":
+        children = [(-1, -1)] * n + [pair for level in shape.children for pair in zip(*level)]
+    else:
+        offset = [0, 0]  # offset[k]: the id of the span (0, k)
+        for order in range(1, shape.max_order):
+            offset.append(offset[-1] + n - order + 1)
+        children = [
+            (-1, -1) if span.order == 1 else tuple(
+                offset[side.order] + span.start + side.shift
+                for side in child_rows(shape.kind, span.order)
             )
-        span_ids[span] = node_id
-        nodes.append(NgramNode(node_id, span, children, span.order))
-        levels[span.order - 1].append(node_id)
-    return NgramDag(kind, n, shape.max_order, tuple(nodes), tuple(map(tuple, levels)), shape.spans)
+            for span in shape.spans
+        ]
+    return [
+        f"{node_id}\t{span.start}\t{span.order}\t{left}\t{right}"
+        for node_id, (span, (left, right)) in enumerate(zip(shape.spans, children))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +212,3 @@ def tree_shape(parse: Optional[str], tokens: Sequence[str] | int) -> NgramShape:
         children[-1][0].append(id_of[start, mid])
         children[-1][1].append(id_of[mid, end])
     return NgramShape("tree", n, n, tuple(spans), tuple(tuple(map(tuple, c)) for c in children))
-
-
-def structure_records(dag: NgramDag) -> list[str]:
-    """Line-oriented dump: ``id<TAB>start<TAB>order<TAB>leftId<TAB>rightId``
-    with -1 for an absent child."""
-    lines = []
-    for node in dag.nodes:
-        left, right = node.children if node.children is not None else (-1, -1)
-        lines.append(f"{node.id}\t{node.span.start}\t{node.span.order}\t{left}\t{right}")
-    return lines

@@ -1,5 +1,10 @@
 """Node-at-a-time and step-at-a-time oracles for the vectorized encoders.
 
+``build_dag`` builds a structure as a node graph, every node with its span,
+children and level; ``dag_records`` dumps it in ``dump-structure``'s record
+format.  The structure tests and the node-walking helpers of ``conftest``
+read it, and ``structures.structure_records`` must print its records.
+
 ``composed_cell`` is the LSTM cell of ``autodiff.tree_cell_gates`` built
 from the elementwise primitives.  ``tree_lstm_cell`` evaluates one gated
 binary composition with it, and ``encode_dag_reference`` applies that once
@@ -28,7 +33,75 @@ from multigram.encoders import (
     TreeLstmParams,
     _check_alignment,
 )
-from multigram.structures import NgramDag
+from multigram.structures import Span, child_rows, ngram_shape, tree_shape
+
+
+@dataclass(frozen=True, slots=True)
+class NgramNode:
+    """One unit in a structure: a span plus optional (left, right) children."""
+
+    id: int
+    span: Span
+    children: Optional[tuple[int, int]]
+    level: int
+
+
+@dataclass(frozen=True)
+class NgramDag:
+    kind: str
+    token_count: int
+    max_order: int
+    nodes: tuple[NgramNode, ...]
+    levels: tuple[tuple[int, ...], ...]
+    spans: tuple[Span, ...]  # spans[i] is nodes[i].span
+
+
+def build_dag(
+    kind: str,
+    tokens: Sequence[str] | int,
+    max_order: int,
+    parse: Optional[str] = None,
+) -> NgramDag:
+    """The node graph of the structure ``kind`` over ``tokens`` (or a bare
+    length).  Node ids are assigned level by level, left to right, so
+    children always precede parents; an ngram node finds its children by
+    looking their spans up among the nodes already built."""
+    n = tokens if isinstance(tokens, int) else len(tokens)
+    if kind == "tree":
+        shape = tree_shape(parse, tokens)
+        nodes = [NgramNode(i, span, None, 1) for i, span in enumerate(shape.spans[:n])]
+        levels = [tuple(range(n))]
+        for level, (left, right) in enumerate(shape.children, start=2):
+            levels.append(tuple(range(len(nodes), len(nodes) + len(left))))
+            nodes += [NgramNode(i, shape.spans[i], pair, level)
+                      for i, pair in zip(levels[-1], zip(left, right))]
+        return NgramDag("tree", n, n, tuple(nodes), tuple(levels), shape.spans)
+
+    shape = ngram_shape(kind, n, max_order)
+    span_ids: dict[Span, int] = {}
+    nodes: list[NgramNode] = []
+    levels: list[list[int]] = [[] for _ in range(shape.max_order)]
+    for node_id, span in enumerate(shape.spans):
+        children = None
+        if span.order > 1:
+            children = tuple(
+                span_ids[Span(span.start + side.shift, side.order)]
+                for side in child_rows(kind, span.order)
+            )
+        span_ids[span] = node_id
+        nodes.append(NgramNode(node_id, span, children, span.order))
+        levels[span.order - 1].append(node_id)
+    return NgramDag(kind, n, shape.max_order, tuple(nodes), tuple(map(tuple, levels)), shape.spans)
+
+
+def dag_records(dag: NgramDag) -> list[str]:
+    """``id<TAB>start<TAB>order<TAB>leftId<TAB>rightId`` per node, with -1
+    for an absent child."""
+    lines = []
+    for node in dag.nodes:
+        left, right = node.children if node.children is not None else (-1, -1)
+        lines.append(f"{node.id}\t{node.span.start}\t{node.span.order}\t{left}\t{right}")
+    return lines
 
 
 @dataclass

@@ -19,7 +19,6 @@ from multigram.autodiff import Tensor
 from multigram.data import Vocab, load_corpus, split_stratified
 from multigram.explain import FidelityRow, fidelity_harness
 from multigram.model import ModelConfig, TextClassifier
-from multigram.structures import build_structure
 from multigram.synthetic import make_planted_corpus
 from multigram.training import (
     TrainConfig,
@@ -37,7 +36,7 @@ from conftest import (
     unfold_tokens,
 )
 from gradcheck import check_gradients
-from reference import cnn_encoder_macs, forest_encoder_macs
+from reference import build_dag, cnn_encoder_macs, forest_encoder_macs
 
 
 def verdict(number, label, ok, detail=""):
@@ -64,7 +63,7 @@ def test_criterion_1_structure_correctness():
                 for i in range(n - k + 1)
             }
             for kind in ("pyramid", "leftforest", "rightforest"):
-                dag = build_structure(kind, tokens, max_order)
+                dag = build_dag(kind, tokens, max_order)
                 spans = {(node.span.start, node.span.order) for node in dag.nodes}
                 assert spans == expected_spans and len(dag.nodes) == expected_size
                 assert len(level_schedule(dag)) == min(max_order, n)
@@ -84,14 +83,14 @@ def test_criterion_1_structure_correctness():
                     elif node.span.order >= 3:
                         assert max(counts.values()) >= 2
             parse = random_bracketing(tokens, rng)
-            tree = build_structure("tree", tokens, max_order, parse=parse)
+            tree = build_dag("tree", tokens, max_order, parse=parse)
             assert len(tree.nodes) == 2 * n - 1
             for node in tree.nodes:
                 counts = unfold_tokens(tree, node.id)
                 assert counts == Counter(range(node.span.start, node.span.end))
 
     # The four-token running example, verbatim.
-    pyramid = build_structure("pyramid", ["w1", "w2", "w3", "w4"], 4)
+    pyramid = build_dag("pyramid", ["w1", "w2", "w3", "w4"], 4)
     trigram = node_for_span(pyramid, 0, 3)
     left, right = trigram.children
     assert {pyramid.nodes[left].span, pyramid.nodes[right].span} == {

@@ -53,6 +53,13 @@ class TestDumpStructure:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[3:] == ["3\t0\t2\t0\t1", "4\t0\t3\t3\t2"]
 
+    def test_tree_from_parse_over_a_bare_length(self, capsys):
+        # --length gives no leaf words, so any bracketing of that many leaves reads.
+        assert run(["dump-structure", "--kind", "tree", "--length", "4",
+                    "--parse", "((a b) (c d))"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[4:] == ["4\t0\t2\t0\t1", "5\t2\t2\t2\t3", "6\t0\t4\t4\t5"]
+
     def test_tokens_or_length_required(self, capsys):
         assert run(["dump-structure", "--kind", "pyramid"]) == 1
 
@@ -109,6 +116,7 @@ class TestTrain:
         (["fidelity", "--checkpoint", "unread.ckpt", "--n-values", "2,two"], "--n-values"),
         (["dump-structure", "--kind", "pyramid", "--length", "3", "--max-order", "0"],
          "--max-order"),
+        (["dump-structure", "--kind", "pyramid", "--length", "0"], "at least one token"),
     ])
     def test_bad_option_values_are_usage_errors(self, corpus_path, capsys, args, message):
         if args[0] != "dump-structure":
@@ -439,6 +447,15 @@ class TestTreeCheckpoint:
         assert run([command, "--corpus", corpus_path, "--parses", parses, *FAST,
                     "--encoders", "tree", *extra]) == 0
         assert "\ntree\t" in capsys.readouterr().out
+
+    def test_ablate_trains_the_tree_once(self, tree_run, corpus_path, capsys):
+        # The tree reads no order, so a sweep over orders trains it once, K "-".
+        _, parses = tree_run
+        assert run(["ablate", "--corpus", corpus_path, "--parses", parses, *FAST,
+                    "--encoders", "tree", "--orders", "1,2"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("tree\t")]
+        assert len(rows) == 1 and rows[0].startswith("tree\t-\t")
 
     @pytest.mark.parametrize("command", ["fidelity", "explain", "eval"])
     def test_a_tree_checkpoint_without_parses_is_a_usage_error(self, tree_run, corpus_path,

@@ -12,7 +12,7 @@ from multigram.encoders import (
     encode_dag,
     init_bilstm_params,
 )
-from multigram.structures import build_structure, ngram_shape, tree_shape
+from multigram.structures import ngram_shape, tree_shape
 
 from conftest import (
     fresh_bilstm_params,
@@ -24,6 +24,7 @@ from conftest import (
 from gradcheck import check_gradients
 from reference import (
     NodeState,
+    build_dag,
     bilstm_encoder_macs,
     bilstm_reference,
     cnn_encoder_macs,
@@ -126,7 +127,7 @@ class TestEncodeDag:
         for n in (1, 2, 5, 8):
             x = random_embeddings(n, 5, seed=n)
             fast = encode_dag(ngram_shape(kind, n, 3), x, params, memory_update)
-            slow = encode_dag_reference(build_structure(kind, n, 3), x, params, memory_update)
+            slow = encode_dag_reference(build_dag(kind, n, 3), x, params, memory_update)
             np.testing.assert_allclose(fast.h.data, slow.h.data, atol=1e-12)
             assert fast.spans == slow.spans
 
@@ -137,7 +138,7 @@ class TestEncodeDag:
         for n in (1, 2, 4, 7):
             tokens = [f"t{i}" for i in range(n)]
             parse = random_bracketing(tokens, rng)
-            dag = build_structure("tree", tokens, 7, parse=parse)
+            dag = build_dag("tree", tokens, 7, parse=parse)
             x = random_embeddings(n, 5, seed=n + 50)
             fast = encode_dag(tree_shape(parse, tokens), x, params, memory_update)
             slow = encode_dag_reference(dag, x, params, memory_update)
@@ -160,7 +161,7 @@ class TestEncodeDag:
     def test_within_level_order_permutation_is_bit_identical(self):
         _, params = fresh_tree_params(4, 3, seed=13)
         x = random_embeddings(6, 4, seed=14)
-        dag = build_structure("leftforest", 6, 4)
+        dag = build_dag("leftforest", 6, 4)
         rng = np.random.default_rng(0)
         permuted = [i for level in dag.levels for i in rng.permutation(level)]
         base = encode_dag_reference(dag, x, params)
@@ -170,7 +171,7 @@ class TestEncodeDag:
     def test_cell_invoked_exactly_once_per_node(self):
         _, params = fresh_tree_params(4, 3, seed=13)
         x = random_embeddings(5, 4, seed=15)
-        dag = build_structure("pyramid", 5, 4)
+        dag = build_dag("pyramid", 5, 4)
         calls = []
 
         def counting_cell(*args, **kwargs):
@@ -361,7 +362,7 @@ class TestCnn:
     def test_span_set_matches_leftforest(self):
         _, params = fresh_cnn_params(4, 3, max_order=3, seed=15)
         out = cnn_encode(random_embeddings(6, 4, seed=16), params)
-        dag = build_structure("leftforest", 6, 3)
+        dag = build_dag("leftforest", 6, 3)
         assert out.spans == dag.spans
 
     def test_order_clamped_to_length(self):

@@ -20,6 +20,7 @@ from conftest import (
     random_bracketing,
     unfold_tokens,
 )
+from reference import build_dag, dag_records
 
 TOKENS4 = ["w1", "w2", "w3", "w4"]
 NGRAM_KINDS = ("pyramid", "leftforest", "rightforest")
@@ -49,32 +50,32 @@ class TestFourTokenInstances:
     """The running w1..w4 example, all four structures."""
 
     def test_pyramid_shape_and_children(self):
-        dag = build_structure("pyramid", TOKENS4, 4)
+        dag = build_dag("pyramid", TOKENS4, 4)
         assert len(dag.nodes) == 10
         assert [len(level) for level in dag.levels] == [4, 3, 2, 1]
         assert children_spans(dag, 0, 3) == ((0, 2), (1, 2))
 
     def test_leftforest_children_share_prefix(self):
-        dag = build_structure("leftforest", TOKENS4, 4)
+        dag = build_dag("leftforest", TOKENS4, 4)
         assert spans_of(dag) == brute_force_spans(4, 4)
         assert children_spans(dag, 0, 3) == ((0, 2), (2, 1))
 
     def test_rightforest_children_share_suffix(self):
-        dag = build_structure("rightforest", TOKENS4, 4)
+        dag = build_dag("rightforest", TOKENS4, 4)
         assert children_spans(dag, 0, 3) == ((0, 1), (1, 2))
 
     def test_tree_from_bracketing(self):
-        dag = build_structure("tree", TOKENS4, 4, parse="((w1 w2) (w3 w4))")
+        dag = build_dag("tree", TOKENS4, 4, parse="((w1 w2) (w3 w4))")
         assert len(dag.nodes) == 2 * 4 - 1
         assert spans_of(dag) == {(0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (2, 2), (0, 4)}
 
     def test_pyramid_reuses_middle_token_twice(self):
-        dag = build_structure("pyramid", TOKENS4, 4)
+        dag = build_dag("pyramid", TOKENS4, 4)
         node = node_for_span(dag, 0, 3)
         assert unfold_tokens(dag, node.id) == Counter({0: 1, 1: 2, 2: 1})
 
     def test_leftforest_unfolds_each_token_once(self):
-        dag = build_structure("leftforest", TOKENS4, 4)
+        dag = build_dag("leftforest", TOKENS4, 4)
         node = node_for_span(dag, 0, 3)
         assert unfold_tokens(dag, node.id) == Counter({0: 1, 1: 1, 2: 1})
 
@@ -82,12 +83,12 @@ class TestFourTokenInstances:
 class TestDegenerateAndClamped:
     def test_single_token(self):
         for kind in NGRAM_KINDS:
-            dag = build_structure(kind, ["only"], 7)
+            dag = build_dag(kind, ["only"], 7)
             assert len(dag.nodes) == 1
             assert dag.nodes[0].children is None
 
     def test_order_clamped_to_length(self):
-        dag = build_structure("pyramid", ["a", "b", "c", "d", "e"], 3)
+        dag = build_dag("pyramid", ["a", "b", "c", "d", "e"], 3)
         assert len(dag.nodes) == 5 + 4 + 3
         assert dag.max_order == 3
 
@@ -100,7 +101,7 @@ class TestDegenerateAndClamped:
             build_structure("swamp", TOKENS4, 2)
 
     def test_unknown_node_id(self):
-        dag = build_structure("pyramid", TOKENS4, 2)
+        dag = build_dag("pyramid", TOKENS4, 2)
         with pytest.raises(KeyError):
             unfold_tokens(dag, 99)
 
@@ -111,7 +112,7 @@ def test_span_sets_agree_across_ngram_kinds(n, max_order):
     expected = brute_force_spans(n, max_order)
     tokens = [f"t{i}" for i in range(n)]
     for kind in NGRAM_KINDS:
-        dag = build_structure(kind, tokens, max_order)
+        dag = build_dag(kind, tokens, max_order)
         assert spans_of(dag) == expected
         assert len(dag.nodes) == sum(n - k + 1 for k in range(1, min(max_order, n) + 1))
 
@@ -128,14 +129,39 @@ EXPECTED_CHILDREN = {
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), max_order=st.integers(1, 8))
 def test_every_internal_node_has_the_kinds_children(n, max_order):
+    # Read from the records ``dump-structure`` prints: a child id names the
+    # record of the child's span.
     for kind, expected in EXPECTED_CHILDREN.items():
-        dag = build_structure(kind, n, max_order)
-        for node in dag.nodes:
-            if node.span.order == 1:
-                assert node.children is None
+        records = [
+            tuple(map(int, line.split("\t")))
+            for line in structure_records(build_structure(kind, n, max_order))
+        ]
+        assert [record[0] for record in records] == list(range(len(records)))
+        assert {record[1:3] for record in records} == brute_force_spans(n, max_order)
+        for _, start, order, left, right in records:
+            if order == 1:
+                assert (left, right) == (-1, -1)
             else:
-                start, order = node.span.start, node.span.order
-                assert children_spans(dag, start, order) == expected(start, order)
+                children = (records[left][1:3], records[right][1:3])
+                assert children == expected(start, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("tree", *NGRAM_KINDS)),
+    n=st.integers(1, 12),
+    max_order=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    bare_length=st.booleans(),
+)
+def test_records_equal_the_node_graphs(kind, n, max_order, seed, bare_length):
+    # The program prints a structure from its shape; the oracle walks every
+    # node of its node graph.  The two dumps agree byte for byte.
+    tokens = [f"t{i}" for i in range(n)]
+    parse = random_bracketing(tokens, np.random.default_rng(seed)) if kind == "tree" else None
+    source = n if bare_length else tokens
+    expected = dag_records(build_dag(kind, source, max_order, parse=parse))
+    assert structure_records(build_structure(kind, source, max_order, parse=parse)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,7 +169,7 @@ def test_every_internal_node_has_the_kinds_children(n, max_order):
 def test_forest_unfolding_is_exact(n, max_order):
     tokens = [f"t{i}" for i in range(n)]
     for kind in ("leftforest", "rightforest"):
-        dag = build_structure(kind, tokens, max_order)
+        dag = build_dag(kind, tokens, max_order)
         for node in dag.nodes:
             expected = Counter(range(node.span.start, node.span.end))
             assert unfold_tokens(dag, node.id) == expected
@@ -152,7 +178,7 @@ def test_forest_unfolding_is_exact(n, max_order):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 10), max_order=st.integers(3, 7))
 def test_pyramid_duplicates_above_order_two(n, max_order):
-    dag = build_structure("pyramid", [f"t{i}" for i in range(n)], max_order)
+    dag = build_dag("pyramid", [f"t{i}" for i in range(n)], max_order)
     for node in dag.nodes:
         counts = unfold_tokens(dag, node.id)
         if node.span.order >= 3:
@@ -167,7 +193,7 @@ def test_pyramid_duplicates_above_order_two(n, max_order):
 def test_random_tree_unfolding_is_exact(n, seed):
     tokens = [f"t{i}" for i in range(n)]
     parse = random_bracketing(tokens, np.random.default_rng(seed))
-    dag = build_structure("tree", tokens, 7, parse=parse)
+    dag = build_dag("tree", tokens, 7, parse=parse)
     assert len(dag.nodes) == 2 * n - 1
     for node in dag.nodes:
         expected = Counter(range(node.span.start, node.span.end))
@@ -176,16 +202,16 @@ def test_random_tree_unfolding_is_exact(n, seed):
 
 class TestSchedule:
     def test_pyramid_batches(self):
-        dag = build_structure("pyramid", TOKENS4, 4)
+        dag = build_dag("pyramid", TOKENS4, 4)
         assert [len(b) for b in level_schedule(dag)] == [4, 3, 2, 1]
 
     def test_depth_is_capped_by_max_order(self):
-        dag = build_structure("leftforest", [f"t{i}" for i in range(200)], 7)
+        dag = build_dag("leftforest", [f"t{i}" for i in range(200)], 7)
         assert len(level_schedule(dag)) == 7
 
     def test_left_branching_tree_depth(self):
         parse = left_branching_bracketing(TOKENS4)
-        dag = build_structure("tree", TOKENS4, 4, parse=parse)
+        dag = build_dag("tree", TOKENS4, 4, parse=parse)
         assert [len(b) for b in level_schedule(dag)] == [4, 1, 1, 1]
 
     @settings(max_examples=40, deadline=None)
@@ -193,7 +219,7 @@ class TestSchedule:
     def test_children_precede_their_batch(self, n, max_order):
         tokens = [f"t{i}" for i in range(n)]
         for kind in NGRAM_KINDS:
-            dag = build_structure(kind, tokens, max_order)
+            dag = build_dag(kind, tokens, max_order)
             batches = level_schedule(dag)
             assert len(batches) == min(max_order, n)
             seen = set()
@@ -212,15 +238,15 @@ class TestSchedule:
 
 class TestNgramText:
     def test_inner_bigram(self):
-        dag = build_structure("pyramid", list("abcd"), 4)
+        dag = build_dag("pyramid", list("abcd"), 4)
         assert ngram_text(dag, node_for_span(dag, 1, 2).id, list("abcd")) == ["b", "c"]
 
     def test_whole_sentence(self):
-        dag = build_structure("pyramid", list("abcd"), 4)
+        dag = build_dag("pyramid", list("abcd"), 4)
         assert ngram_text(dag, node_for_span(dag, 0, 4).id, list("abcd")) == list("abcd")
 
     def test_last_unigram(self):
-        dag = build_structure("pyramid", list("abcd"), 4)
+        dag = build_dag("pyramid", list("abcd"), 4)
         assert ngram_text(dag, node_for_span(dag, 3, 1).id, list("abcd")) == ["d"]
 
 
@@ -248,7 +274,7 @@ class TestBracketing:
         # A random bracketing of the tokens reads back as those tokens, in order.
         tokens = [f"t{i}" for i in range(n)]
         parse = random_bracketing(tokens, np.random.default_rng(seed))
-        dag = build_structure("tree", tokens, 7, parse=parse)
+        dag = build_dag("tree", tokens, 7, parse=parse)
         leaves = [node for node in dag.nodes if node.children is None]
         assert [ngram_text(dag, leaf.id, tokens) for leaf in leaves] == [[t] for t in tokens]
         if n > 1:
@@ -259,7 +285,7 @@ class TestBracketing:
         # One level per token: a recursive reader would exceed Python's stack.
         n = 5000
         parse = left_branching_bracketing([f"w{i}" for i in range(n)])
-        dag = build_structure("tree", n, 7, parse=parse)
+        dag = build_dag("tree", n, 7, parse=parse)
         assert len(dag.levels) == n
         assert dag.nodes[-1].span == Span(0, n)
 
@@ -270,7 +296,7 @@ class TestBracketing:
         child's span followed by its right child's, and its level is one
         more than its higher child's.  Ids run level by level, then by start."""
         parse = random_bracketing([f"t{i}" for i in range(n)], np.random.default_rng(seed))
-        dag = build_structure("tree", n, 7, parse=parse)
+        dag = build_dag("tree", n, 7, parse=parse)
         assert len(dag.nodes) == 2 * n - 1
         assert [node.id for node in dag.nodes] == list(range(2 * n - 1))
         for node in dag.nodes:
@@ -293,8 +319,7 @@ class TestBracketing:
 
 
 def test_structure_records_format():
-    dag = build_structure("pyramid", TOKENS4, 4)
-    records = structure_records(dag)
+    records = structure_records(build_structure("pyramid", TOKENS4, 4))
     assert len(records) == 10
     assert records[0] == "0\t0\t1\t-1\t-1"
     # (0, 2) is the first order-2 node: id 4, children are unigrams 0 and 1.
