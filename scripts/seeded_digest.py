@@ -14,6 +14,10 @@ random parses, then prints one SHA-256 per configuration over:
 - ``extract_evidence``'s report on each test document at thresholds 0.05
   and 0.0 (the latter reports every unit, so it fixes their whole order).
 
+A last line digests ``fidelity_tsv`` of the fidelity harness on the
+left-forest explainer at n = 1 and 3, which retrains a BiLSTM probe on the
+reduced documents.
+
 A refactor that keeps every digest computes the same numbers bit for bit.
 Compare two checkouts by running each one's copy of this script; it
 imports the ``src`` next to it and pins one BLAS thread, so the digests do
@@ -34,7 +38,7 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from multigram.explain import extract_evidence  # noqa: E402
+from multigram.explain import extract_evidence, fidelity_harness, fidelity_tsv  # noqa: E402
 from multigram.synthetic import make_planted_corpus  # noqa: E402
 from multigram.training import (  # noqa: E402
     TrainConfig,
@@ -90,12 +94,15 @@ class Digest:
         self.text([(ev.span.start, ev.span.order, ev.text, ev.weight) for ev in report.evidence])
 
 
-def digest(bundle, encoder: str, memory_update: str) -> str:
-    config = TrainConfig(
+def small_config(encoder: str, memory_update: str = "hidden") -> TrainConfig:
+    return TrainConfig(
         encoder=encoder, memory_update=memory_update, embed_dim=10, hidden_dim=8,
         attention_dim=6, max_order=4, batch_size=8, epochs=2, patience=2, seed=7,
     )
-    result = train(config, bundle)
+
+
+def digest(bundle, encoder: str, memory_update: str) -> str:
+    result = train(small_config(encoder, memory_update), bundle)
     model, out = result.model, Digest()
     out.text(bundle.vocab.tokens)
     for name, value in sorted(model.store.state_dict().items()):
@@ -121,10 +128,18 @@ def digest(bundle, encoder: str, memory_update: str) -> str:
     return out.sha.hexdigest()
 
 
+def fidelity_digest(bundle) -> str:
+    explainer = train(small_config("leftforest"), bundle).model
+    rows = fidelity_harness(explainer, bundle, n_values=[1, 3], seed=7,
+                            probe_config=small_config("bilstm"))
+    return hashlib.sha256(fidelity_tsv(rows).encode()).hexdigest()
+
+
 def main() -> None:
     bundle = planted_bundle()
     for encoder, memory_update in CONFIGURATIONS:
         print(f"{encoder}\t{memory_update}\t{digest(bundle, encoder, memory_update)}")
+    print(f"fidelity\tleftforest\t{fidelity_digest(bundle)}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autodiff import NumericError
-from .data import load_checkpoint, load_corpus, read_lines, save_checkpoint
+from .data import load_checkpoint, load_corpus, read_checkpoint_header, read_lines, save_checkpoint
 from .errors import DataError, UsageError
 from .explain import extract_evidence, fidelity_harness, fidelity_tsv, render_highlights
 from .model import ENCODER_KINDS
@@ -30,6 +30,7 @@ from .training import (
     evaluate,
     forward_chunks,
     prepare_bundle,
+    split_bundle,
     train,
 )
 
@@ -98,17 +99,17 @@ def _positive_ints(flag: str, text: str) -> list[int]:
 
 
 def resolve_train_config(args) -> TrainConfig:
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values, then explicit flags.  A file value
+    is copied onto ``args`` where no flag set it."""
     config = TrainConfig()
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, value in file_values.items():
         if key in _CONFIG_FIELDS:
-            config = replace(config, **{key: _coerce(key, value)})
-        elif key in _PATH_KEYS:
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-        else:
+            value = _coerce(key, value)
+        elif key not in _PATH_KEYS:
             raise UsageError(f"unknown config key: {key!r}")
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
     overrides = {
         key: getattr(args, key)
         for key in _CONFIG_FIELDS
@@ -209,8 +210,9 @@ def build_parser() -> _Parser:
 
     p_dump = sub.add_parser("dump-structure", help="emit a structure as TSV records")
     p_dump.add_argument("--kind", required=True, choices=STRUCTURE_KINDS)
-    p_dump.add_argument("--tokens", help="space-separated tokens")
-    p_dump.add_argument("--length", type=int, help="token count (alternative to --tokens)")
+    words = p_dump.add_mutually_exclusive_group(required=True)
+    words.add_argument("--tokens", help="space-separated tokens")
+    words.add_argument("--length", type=int, help="token count (alternative to --tokens)")
     p_dump.add_argument("--max-order", type=int, dest="max_order", default=7)
     p_dump.add_argument("--parse", help="bracketed tree (kind=tree)")
     p_dump.add_argument("--output")
@@ -251,25 +253,33 @@ def _checkpoint_corpus(args, model):
     return load_corpus(args.corpus, label_names=model.label_names, parse_path=args.parses)
 
 
-def _split_for_eval(args, model, seed: int):
-    corpus = _checkpoint_corpus(args, model)
-    if args.split == "all":
-        return EncodedDocs.from_corpus(corpus, model.vocab)
-    from .data import split_stratified
+def _split_seed(args) -> int:
+    """The seed given by flag or config file, else the one the checkpoint's
+    training run recorded: ``eval`` and ``fidelity`` split as that run did."""
+    if args.seed is not None:
+        return args.seed
+    return read_checkpoint_header(args.checkpoint).get("extra", {}).get("seed", 0)
 
-    splits = dict(zip(("train", "dev", "test"), split_stratified(corpus, seed=seed)))
-    return EncodedDocs.from_corpus(splits[args.split], model.vocab)
+
+def _checkpoint_bundle(args, model, seed: int):
+    """The corpus split by ``seed`` and encoded with the checkpoint's
+    vocabulary and embeddings; a split error names the corpus."""
+    corpus = _checkpoint_corpus(args, model)
+    try:
+        return split_bundle(corpus, model.vocab, model.embeddings, seed)
+    except DataError as exc:
+        raise DataError(f"{args.corpus}: {exc}") from None
 
 
 def cmd_eval(args) -> int:
     require = {"memory_update": args.memory_update} if args.memory_update else None
     model = load_checkpoint(args.checkpoint, require=require)
-    from .data import read_checkpoint_header
-
-    header = read_checkpoint_header(args.checkpoint)
-    seed = args.seed if args.seed is not None else header.get("extra", {}).get("seed", 0)
+    seed = _split_seed(args)
     echo_config("eval", None, args, extra={"seed": seed, "split": args.split})
-    docs = _split_for_eval(args, model, seed)
+    if args.split == "all":
+        docs = EncodedDocs.from_corpus(_checkpoint_corpus(args, model), model.vocab)
+    else:
+        docs = getattr(_checkpoint_bundle(args, model, seed), args.split)
     result = evaluate(model, docs)
     print(f"accuracy\t{result.accuracy:.4f}")
     for name in model.label_names:
@@ -306,25 +316,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    from .data import split_stratified
-    from .training import DataBundle
-
     config = resolve_train_config(args)
     n_values = _positive_ints("--n-values", args.n_values)
     model = load_checkpoint(args.checkpoint)
+    config = replace(config, seed=_split_seed(args))
     echo_config("fidelity", config, args, extra={"n_values": args.n_values})
-    corpus = _checkpoint_corpus(args, model)
-    # Reduced texts must be encoded with the checkpoint's own vocabulary.
-    train_c, dev_c, test_c = split_stratified(corpus, seed=config.seed)
-    bundle = DataBundle(
-        vocab=model.vocab,
-        label_names=model.label_names,
-        embeddings=model.embeddings,
-        coverage=1.0,
-        train=EncodedDocs.from_corpus(train_c, model.vocab),
-        dev=EncodedDocs.from_corpus(dev_c, model.vocab),
-        test=EncodedDocs.from_corpus(test_c, model.vocab),
-    )
+    # Reduced texts are encoded with the checkpoint's own vocabulary.
+    bundle = _checkpoint_bundle(args, model, config.seed)
     probe = _checked(replace(config, encoder="bilstm", embed_dim=model.config.embed_dim))
     rows = fidelity_harness(model, bundle, n_values, seed=config.seed, probe_config=probe)
     text = fidelity_tsv(rows)
@@ -393,12 +391,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_structure(args) -> int:
-    if args.tokens:
-        tokens = args.tokens.split()
-    elif args.length is not None:
-        tokens = args.length  # a bare length: a tree's leaf words go unchecked
-    else:
-        raise UsageError("dump-structure needs --tokens or --length")
+    if args.parse is not None and args.kind != "tree":
+        raise UsageError("dump-structure: --parse needs --kind tree")
+    # A bare length: a tree's leaf words go unchecked.
+    tokens = args.length if args.tokens is None else args.tokens.split()
     n = tokens if isinstance(tokens, int) else len(tokens)
     if n < 1 or args.max_order < 1:
         raise UsageError("dump-structure needs at least one token and --max-order of at least 1")
@@ -429,7 +425,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import ModelOutput
-from .data import Corpus
+from .data import Vocab
 from .errors import DataError
 from .model import TextClassifier
 from .structures import Span
@@ -173,74 +173,47 @@ def fidelity_tsv(rows: Sequence[FidelityRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reduced_corpus(
-    docs: EncodedDocs,
-    label_names: Sequence[str],
-    n: int,
-    condition: str,
-    outputs: Optional[list[ModelOutput]],
-    seed: int,
-) -> Corpus:
+def _reduced_docs(
+    docs: EncodedDocs, vocab: Vocab, n: int, condition: str, outputs: list[ModelOutput], seed: int
+) -> EncodedDocs:
     documents = []
-    for i in range(len(docs)):
-        tokens = docs.tokens[i]
+    for i, tokens in enumerate(docs.tokens):
         if condition == "extracted":
             documents.append(keep_top_words(tokens, outputs[i], n))
         else:
             rng = derive_rng(seed, _KEY_RANDOM_WINDOW, n, i)
             documents.append(random_subsequence(tokens, n, rng))
-    return Corpus(documents, [int(l) for l in docs.labels], list(label_names))
+    return EncodedDocs([vocab.encode(doc) for doc in documents], docs.labels, documents)
 
 
 def _retrain_accuracy(
-    train_corpus: Corpus,
-    dev_corpus: Corpus,
-    bundle: DataBundle,
-    config: TrainConfig,
+    bundle: DataBundle, train_docs: EncodedDocs, dev_docs: EncodedDocs, config: TrainConfig
 ) -> float:
-    sub_bundle = DataBundle(
-        vocab=bundle.vocab,
-        label_names=bundle.label_names,
-        embeddings=bundle.embeddings,
-        coverage=bundle.coverage,
-        train=EncodedDocs.from_corpus(train_corpus, bundle.vocab),
-        dev=EncodedDocs.from_corpus(dev_corpus, bundle.vocab),
-        test=EncodedDocs.from_corpus(dev_corpus, bundle.vocab),
-    )
-    result = train(config, sub_bundle)
-    return evaluate(result.model, sub_bundle.dev).accuracy
+    sub_bundle = replace(bundle, train=train_docs, dev=dev_docs, test=dev_docs)
+    return evaluate(train(config, sub_bundle).model, dev_docs).accuracy
 
 
 def fidelity_harness(
     explainer: TextClassifier,
     bundle: DataBundle,
-    n_values: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40, 50),
+    n_values: Sequence[int],
+    probe_config: TrainConfig,
     seed: int = 0,
-    probe_config: Optional[TrainConfig] = None,
 ) -> list[FidelityRow]:
     """For each n, retrain a fresh BiLSTM on train/dev copies reduced to n
     words (attention-extracted vs random window) and record dev accuracy;
-    also reports the full-text BiLSTM upper bound."""
-    if probe_config is None:
-        probe_config = TrainConfig(encoder="bilstm", embed_dim=explainer.config.embed_dim)
+    also reports the full-text BiLSTM upper bound.  The probe trains with
+    ``probe_config``'s settings, as a BiLSTM and with ``seed``."""
     probe_config = replace(probe_config, encoder="bilstm", seed=seed)
-    train_alphas = list(forward_chunks(explainer, bundle.train))
-    dev_alphas = list(forward_chunks(explainer, bundle.dev))
-
-    rows = []
-    full_train = Corpus(bundle.train.tokens, [int(l) for l in bundle.train.labels], bundle.label_names)
-    full_dev = Corpus(bundle.dev.tokens, [int(l) for l in bundle.dev.labels], bundle.label_names)
-    upper = _retrain_accuracy(full_train, full_dev, bundle, probe_config)
-    rows.append(FidelityRow(None, "full", upper))
+    splits = (bundle.train, bundle.dev)
+    outputs = [list(forward_chunks(explainer, docs)) for docs in splits]
+    rows = [FidelityRow(None, "full", _retrain_accuracy(bundle, *splits, probe_config))]
     for n in n_values:
-        for condition, outputs in (("extracted", (train_alphas, dev_alphas)), ("random", None)):
-            train_out, dev_out = outputs if outputs else (None, None)
-            reduced_train = _reduced_corpus(
-                bundle.train, bundle.label_names, n, condition, train_out, seed
+        for condition in ("extracted", "random"):
+            reduced_train, reduced_dev = (
+                _reduced_docs(docs, bundle.vocab, n, condition, out, seed)
+                for docs, out in zip(splits, outputs)
             )
-            reduced_dev = _reduced_corpus(
-                bundle.dev, bundle.label_names, n, condition, dev_out, seed
-            )
-            accuracy = _retrain_accuracy(reduced_train, reduced_dev, bundle, probe_config)
+            accuracy = _retrain_accuracy(bundle, reduced_train, reduced_dev, probe_config)
             rows.append(FidelityRow(n, condition, accuracy))
     return rows

@@ -160,7 +160,7 @@ class DataBundle:
     vocab: Vocab
     label_names: list[str]
     embeddings: Tensor
-    coverage: float
+    coverage: Optional[float]  # share of the vocabulary an embedding file held
     train: EncodedDocs
     dev: EncodedDocs
     test: EncodedDocs
@@ -170,6 +170,27 @@ class DataBundle:
         return len(self.label_names)
 
 
+def split_bundle(
+    corpus: Corpus,
+    vocab: Vocab,
+    embeddings: Tensor,
+    seed: int,
+    ratios: tuple[int, int, int] = (8, 1, 1),
+    coverage: Optional[float] = None,
+) -> DataBundle:
+    """The stratified ``ratios`` split of ``corpus`` by ``seed``, encoded
+    with ``vocab``.  A split that comes out empty is a ``DataError``."""
+    splits = dict(zip(("train", "dev", "test"), split_stratified(corpus, ratios, seed)))
+    empty = [name for name, split in splits.items() if len(split) == 0]
+    if empty:
+        raise DataError(
+            f"the {':'.join(map(str, ratios))} split of {len(corpus)} documents with seed "
+            f"{seed} gives an empty {' and an empty '.join(empty)} split"
+        )
+    encoded = {name: EncodedDocs.from_corpus(split, vocab) for name, split in splits.items()}
+    return DataBundle(vocab, corpus.label_names, embeddings, coverage, **encoded)
+
+
 def prepare_bundle(
     corpus: Corpus,
     embedding_path=None,
@@ -177,27 +198,16 @@ def prepare_bundle(
     seed: int = 0,
     ratios: tuple[int, int, int] = (8, 1, 1),
 ) -> DataBundle:
-    """Split, build the vocabulary, and load (or randomize) embeddings.
+    """Build the vocabulary, load (or randomize) embeddings, and split.
 
     The vocabulary covers the whole corpus; embeddings are frozen, so no
     trained signal leaks across splits.  The matrix is cast to
     ``TRAINING_DTYPE``, which every model built on the bundle inherits.
     """
-    train_c, dev_c, test_c = split_stratified(corpus, ratios, seed)
-    if len(train_c) == 0 or len(dev_c) == 0:
-        raise DataError("stratified split produced an empty train or dev set")
     vocab = Vocab.build(corpus.documents)
     embeddings, coverage = load_embeddings(embedding_path, vocab, embed_dim, seed)
     embeddings.data = embeddings.data.astype(TRAINING_DTYPE)
-    return DataBundle(
-        vocab=vocab,
-        label_names=corpus.label_names,
-        embeddings=embeddings,
-        coverage=coverage,
-        train=EncodedDocs.from_corpus(train_c, vocab),
-        dev=EncodedDocs.from_corpus(dev_c, vocab),
-        test=EncodedDocs.from_corpus(test_c, vocab),
-    )
+    return split_bundle(corpus, vocab, embeddings, seed, ratios, coverage)
 
 
 def bucket_batches(lengths: Sequence[int], order: Sequence[int], batch_size: int) -> list[np.ndarray]:

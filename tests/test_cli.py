@@ -63,6 +63,23 @@ class TestDumpStructure:
     def test_tokens_or_length_required(self, capsys):
         assert run(["dump-structure", "--kind", "pyramid"]) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["--tokens", "a b", "--length", "5"], "not allowed with argument"),
+        (["--tokens", "a b", "--parse", "(a b)"], "--parse needs --kind tree"),
+        (["--length", "2", "--parse", "(a b)"], "--parse needs --kind tree"),
+        (["--tokens", ""], "at least one token"),
+    ], ids=["tokens-and-length", "parse-with-tokens", "parse-with-length", "empty-tokens"])
+    def test_flag_mismatches_are_usage_errors(self, capsys, args, message):
+        assert run(["dump-structure", "--kind", "pyramid", *args]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_a_directory_as_output_is_a_data_error(self, tmp_path, capsys):
+        assert run(["dump-structure", "--kind", "pyramid", "--length", "2",
+                    "--output", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"'{tmp_path}'" in err
+
     def test_tokens_flag(self, capsys):
         assert run(["dump-structure", "--kind", "leftforest", "--tokens", "a b c",
                     "--max-order", "2"]) == 0
@@ -90,6 +107,14 @@ class TestTrain:
     def test_directory_as_corpus_is_a_data_error(self, tmp_path, capsys):
         assert run(["train", "--corpus", tmp_path, *FAST]) == 2
         assert f"cannot read corpus file {tmp_path}" in capsys.readouterr().err
+
+    def test_output_dir_under_a_file_is_a_data_error(self, corpus_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["train", "--corpus", corpus_path, "--encoder", "leftforest", *FAST,
+                    "--output-dir", blocker / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"'{blocker / 'run'}'" in err
 
     def test_seed_repeat_reproduces_metrics(self, corpus_path, tmp_path, capsys):
         logs = []
@@ -242,6 +267,50 @@ class TestEvalExplainBench:
     def test_eval_missing_checkpoint(self, corpus_path, tmp_path, capsys):
         assert run(["eval", "--checkpoint", tmp_path / "no.ckpt",
                     "--corpus", corpus_path]) == 2
+
+    def test_a_directory_as_checkpoint_is_a_data_error(self, corpus_path, tmp_path, capsys):
+        assert run(["eval", "--checkpoint", tmp_path, "--corpus", corpus_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"'{tmp_path}'" in err
+
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_an_empty_split_is_a_data_error(self, trained_run, tmp_path, capsys, split):
+        # Five documents a class leave the 8:1:1 split's dev and test empty.
+        small = tmp_path / "small.tsv"
+        save_corpus(make_planted_corpus(num_docs=15, num_classes=3, distractor_vocab=30,
+                                        length_range=(6, 8), seed=2).corpus, small)
+        assert run(["eval", "--checkpoint", trained_run, "--corpus", small,
+                    "--split", split]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {small}: " in captured.err
+        assert "gives an empty dev and an empty test split" in captured.err
+        assert "accuracy" not in captured.out
+
+    def test_eval_and_fidelity_split_by_the_recorded_seed(self, trained_run, corpus_path,
+                                                          monkeypatch, capsys):
+        # trained_run was trained with --seed 3; without --seed both commands
+        # split by that seed and so read the same dev documents.
+        import multigram.cli as cli
+
+        seen = {}
+        cli_evaluate = cli.evaluate
+
+        def evaluate(model, docs):
+            seen["eval"] = docs.tokens
+            return cli_evaluate(model, docs)
+
+        def fidelity_harness(model, bundle, n_values, **kwargs):
+            seen["fidelity"] = bundle.dev.tokens
+            return []
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        monkeypatch.setattr(cli, "fidelity_harness", fidelity_harness)
+        assert run(["eval", "--checkpoint", trained_run, "--corpus", corpus_path,
+                    "--split", "dev"]) == 0
+        assert run(["fidelity", "--checkpoint", trained_run, "--corpus", corpus_path,
+                    *FAST[:-2], "--n-values", "2"]) == 0
+        assert seen["eval"] == seen["fidelity"]
+        assert capsys.readouterr().out.count("[config] seed = 3\n") == 2
 
     @pytest.mark.parametrize("args", [
         ["explain", "--epochs", "3"],
