@@ -14,9 +14,12 @@ random parses, then prints one SHA-256 per configuration over:
 - ``extract_evidence``'s report on each test document at thresholds 0.05
   and 0.0 (the latter reports every unit, so it fixes their whole order).
 
-A last line digests ``fidelity_tsv`` of the fidelity harness on the
+Then one line digests ``fidelity_tsv`` of the fidelity harness on the
 left-forest explainer at n = 1 and 3, which retrains a BiLSTM probe on the
-reduced documents.
+reduced documents.  A last line digests the float32 embedding matrix that
+``prepare_bundle`` builds from a seeded GloVe-format file: two lines outside
+the vocabulary per line inside, one token listed twice and more than two
+blocks of in-vocabulary rows.
 
 A refactor that keeps every digest computes the same numbers bit for bit.
 Compare two checkouts by running each one's copy of this script; it
@@ -34,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import hashlib  # noqa: E402
+import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -135,11 +139,30 @@ def fidelity_digest(bundle) -> str:
     return hashlib.sha256(fidelity_tsv(rows).encode()).hexdigest()
 
 
+def embeddings_digest() -> str:
+    corpus = make_planted_corpus(
+        num_docs=60, num_classes=3, distractor_vocab=600, length_range=(30, 50), seed=5
+    ).corpus
+    vocab = sorted({token for doc in corpus.documents for token in doc})
+    words = vocab + vocab[:1] + [f"x{i}" for i in range(2 * len(vocab))]
+    rng = np.random.default_rng(8)
+    lines = [" ".join([words[j], *map(repr, rng.normal(size=10).tolist())]) + "\n"
+             for j in rng.permutation(len(words))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "glove.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        bundle = prepare_bundle(corpus, path, embed_dim=10, seed=5)
+    out = Digest()
+    out.array(bundle.embeddings.data)
+    return out.sha.hexdigest()
+
+
 def main() -> None:
     bundle = planted_bundle()
     for encoder, memory_update in CONFIGURATIONS:
         print(f"{encoder}\t{memory_update}\t{digest(bundle, encoder, memory_update)}")
     print(f"fidelity\tleftforest\t{fidelity_digest(bundle)}")
+    print(f"embeddings\tglove\t{embeddings_digest()}")
 
 
 if __name__ == "__main__":

@@ -235,9 +235,9 @@ def cmd_train(args) -> int:
     stats = corpus.length_stats()
     print(f"[data] documents = {stats['documents']}, mean tokens = {stats['mean_tokens']:.1f}")
     print(f"[data] embedding coverage = {bundle.coverage:.1%}")
-    result = train(config, bundle)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before training
+    result = train(config, bundle)
     save_checkpoint(result.model, out / "model.ckpt", extra={"seed": config.seed})
     (out / "metrics.tsv").write_text(result.metrics_tsv(), encoding="utf-8")
     print(f"[result] best dev accuracy = {result.best_dev_accuracy:.4f} "

@@ -16,6 +16,11 @@ cell semantics; the encoder tests compare ``encoders.encode_dag`` and
 The ``*_encoder_macs`` functions are the closed forms of each encoder's
 forward multiply-accumulates; instrumented counts from
 ``autodiff.mac_count`` must match them exactly.
+
+``load_embeddings_reference`` reads a GloVe-format file one line at a time
+and parses each in-vocabulary line on its own; ``data.load_embeddings``,
+which parses such lines a block at a time, must return the same matrix and
+coverage or raise the same error.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import numpy as np
 
 from multigram import autodiff as ad
 from multigram.autodiff import Tensor, gate_count
+from multigram.data import OOV_ID, Vocab, read_lines
 from multigram.encoders import (
     MEMORY_UPDATES,
     BiLstmParams,
@@ -33,6 +39,7 @@ from multigram.encoders import (
     TreeLstmParams,
     _check_alignment,
 )
+from multigram.errors import DataError
 from multigram.structures import Span, child_rows, ngram_shape, tree_shape
 
 
@@ -252,3 +259,29 @@ def bilstm_encoder_macs(n: int, embed_dim: int, hidden_dim: int) -> int:
     inputs = (gate_count(0) + (n - 1) * gate_count(1)) * direction * embed_dim
     recurrent = (n - 1) * gate_count(1) * direction * direction
     return 2 * (inputs + recurrent)
+
+
+def load_embeddings_reference(path, vocab: Vocab, dim: int, seed: int = 0) -> tuple[np.ndarray, float]:
+    """(matrix, coverage) as ``data.load_embeddings`` defines them, one line
+    at a time: each in-vocabulary line is split and checked when read, and a
+    later line for the same token overwrites the row."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+    matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
+    covered: set[int] = set()
+    for lineno, line in read_lines(path, "embedding"):
+        token, _, values = line.partition(" ")
+        if token not in vocab.id_of:
+            continue
+        parts = values.split(" ") if values else []
+        if len(parts) != dim:
+            raise DataError(f"{path}:{lineno}: {len(parts)} values, expected {dim}")
+        try:
+            row = np.array(parts, dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{path}:{lineno}: non-finite embedding value")
+        matrix[vocab.id_of[token]] = row
+        covered.add(vocab.id_of[token])
+    covered.discard(OOV_ID)
+    return matrix, len(covered) / max(len(vocab) - 1, 1)

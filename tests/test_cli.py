@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from multigram import cli
 from multigram.cli import main
 from multigram.synthetic import make_planted_corpus
 
@@ -108,7 +109,12 @@ class TestTrain:
         assert run(["train", "--corpus", tmp_path, *FAST]) == 2
         assert f"cannot read corpus file {tmp_path}" in capsys.readouterr().err
 
-    def test_output_dir_under_a_file_is_a_data_error(self, corpus_path, tmp_path, capsys):
+    def test_output_dir_under_a_file_is_a_data_error(self, corpus_path, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started before the output directory was made")
+
+        monkeypatch.setattr(cli, "train", no_training)
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert run(["train", "--corpus", corpus_path, "--encoder", "leftforest", *FAST,

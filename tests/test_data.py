@@ -1,12 +1,16 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigram import data
 from multigram.autodiff import ShapeError, Tensor
 from multigram.data import (
+    EMBEDDING_BLOCK_ROWS,
     Corpus,
     Vocab,
     load_checkpoint,
@@ -21,6 +25,7 @@ from multigram.errors import DataError
 from multigram.model import ModelConfig, TextClassifier
 
 from conftest import rewrite_checkpoint_header, save_corpus
+from reference import load_embeddings_reference
 
 
 def write(tmp_path, name, text):
@@ -241,6 +246,13 @@ class TestVocabAndEmbeddings:
         with pytest.raises(DataError, match=r"e\.txt:2: 0 values, expected 3"):
             load_embeddings(path, vocab, dim=3, seed=0)
 
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns about input without data
+    def test_block_without_values_names_line_without_a_warning(self, tmp_path):
+        vocab = Vocab.build([["apple"]])
+        path = write(tmp_path, "e.txt", "apple\n")
+        with pytest.raises(DataError, match=r"e\.txt:1: 0 values, expected 3"):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         vocab = Vocab.build([["apple", "pear"]])
@@ -266,6 +278,143 @@ class TestVocabAndEmbeddings:
         vocab = Vocab.build([["a"]])
         matrix, _ = load_embeddings(None, vocab, dim=2, seed=0)
         assert not matrix.requires_grad
+
+    def test_duplicated_token_keeps_its_last_vector_and_counts_once(self, tmp_path):
+        vocab = Vocab.build([["apple", "pear"]])
+        path = write(tmp_path, "e.txt", "apple 1 2 3\napple 4 5 6\n")
+        matrix, coverage = load_embeddings(path, vocab, dim=3, seed=0)
+        np.testing.assert_array_equal(matrix.data[vocab.id_of["apple"]], [4, 5, 6])
+        assert coverage == 0.5
+
+    def test_oov_line_loads_but_does_not_count_as_coverage(self, tmp_path):
+        vocab = Vocab.build([["apple", "pear"]])
+        path = write(tmp_path, "e.txt", "<oov> 7 8 9\napple 1 2 3\n")
+        matrix, coverage = load_embeddings(path, vocab, dim=3, seed=0)
+        np.testing.assert_array_equal(matrix.data[0], [7, 8, 9])
+        assert coverage == 0.5
+
+    def test_values_float_reads_but_loadtxt_refuses_load(self, tmp_path):
+        vocab = Vocab.build([["apple"]])
+        path = write(tmp_path, "e.txt", "apple 1_000 \u0661\u0662 3\n")
+        matrix, _ = load_embeddings(path, vocab, dim=3, seed=0)
+        np.testing.assert_array_equal(matrix.data[vocab.id_of["apple"]], [1000, 12, 3])
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_ascii_separator_is_non_numeric(self, tmp_path, separator):
+        # np.loadtxt strips these as whitespace; float refuses them.
+        vocab = Vocab.build([["apple"]])
+        path = write(tmp_path, "e.txt", f"apple 1{separator} 2 3\n")
+        with pytest.raises(DataError, match=r"e\.txt:1: non-numeric"):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
+    @pytest.mark.parametrize("lines, message", [
+        ([b"apple 1 x 3", b"\xff"], r"e\.txt:1: non-numeric"),
+        ([b"\xff", b"apple 1 x 3"], r"e\.txt:1: not UTF-8"),
+    ], ids=["bad-value-first", "unreadable-line-first"])
+    def test_first_faulty_line_is_reported(self, tmp_path, lines, message):
+        vocab = Vocab.build([["apple"]])
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=message):
+            load_embeddings(path, vocab, dim=3, seed=0)
+
+    def test_fault_in_a_later_block_names_its_line(self, tmp_path):
+        rows = EMBEDDING_BLOCK_ROWS + 10
+        vocab = Vocab.build([[f"w{i}" for i in range(rows)]])
+        lines = [f"w{i} {i} {-i / 8}" for i in range(rows)]
+        path = write(tmp_path, "e.txt", "\n".join(lines) + "\n")
+        matrix, coverage = load_embeddings(path, vocab, dim=2, seed=1)
+        expected, _ = load_embeddings_reference(path, vocab, dim=2, seed=1)
+        assert matrix.data.tobytes() == expected.tobytes()
+        assert coverage == 1.0
+        lines[EMBEDDING_BLOCK_ROWS + 4] = "w0 1 nan"
+        path = write(tmp_path, "e.txt", "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"e\.txt:{EMBEDDING_BLOCK_ROWS + 5}: non-finite"):
+            load_embeddings(path, vocab, dim=2, seed=1)
+
+    def test_memory_holds_one_block_not_the_file(self, tmp_path):
+        dim, blocks = 50, 64
+        rows = blocks * EMBEDDING_BLOCK_ROWS
+        vocab = Vocab.build([[f"w{i}" for i in range(rows)]])
+        values = " ".join(["0.1234567"] * dim)
+        path = write(tmp_path, "e.txt", "".join(f"w{i} {values}\n" for i in range(rows)))
+        load_embeddings(path, vocab, dim=dim, seed=0)  # numpy imports its parser lazily
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix, _ = load_embeddings(path, vocab, dim=dim, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block_bytes = EMBEDDING_BLOCK_ROWS * (len(values) + 8 * dim)
+        # Text, values and the parser's buffers for one block; all rows at
+        # once would take 64 blocks.
+        assert peak - matrix.data.nbytes <= 8 * block_bytes
+
+
+EMBEDDING_TOKENS = ["apple", "pear", "plum", "<oov>", "fig", "kiwi"]  # fig, kiwi: not in vocab
+GOOD_VALUES = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+ODD_VALUES = st.sampled_from([
+    "1_000", "\u0661\u0662", "\uff11", "0x10", "nan", "-inf", "inf", "1e400", "2.5e-320",
+    "two", "", "\t5", "5\x1c", "1e", "+.5",
+])
+FAULTS = ["odd value", "one value short", "one value over", "double space", "trailing space",
+          "token only", "not UTF-8"]
+
+
+@st.composite
+def glove_files(draw):
+    """(dim, lines as bytes) of a GloVe-format file, about one line in six
+    with a fault."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        token = draw(st.sampled_from(EMBEDDING_TOKENS))
+        values = [draw(GOOD_VALUES) for _ in range(dim)]
+        fault = draw(st.sampled_from(FAULTS)) if draw(st.integers(0, 5)) == 0 else None
+        if fault == "odd value":
+            values[draw(st.integers(0, dim - 1))] = draw(ODD_VALUES)
+        elif fault == "one value short":
+            values.pop()
+        elif fault == "one value over":
+            values.append(draw(GOOD_VALUES))
+        elif fault == "double space":
+            values.insert(draw(st.integers(0, dim)), "")
+        text = " ".join([token, *values])
+        if fault == "trailing space":
+            text += " "
+        elif fault == "token only":
+            text = token
+        line = text.encode("utf-8")
+        if fault == "not UTF-8":
+            line = b"\xff" + line
+        lines.append(line)
+    return dim, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(glove_files())
+def test_block_parse_matches_the_line_at_a_time_loader(tmp_path_factory, glove_file):
+    dim, lines = glove_file
+    path = tmp_path_factory.getbasetemp() / "glove.txt"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    vocab = Vocab.build([["apple", "pear", "plum"]])
+    outcomes = []
+    for load in (load_embeddings, load_embeddings_reference):
+        try:
+            # Blocks of two rows, so most files span several blocks.
+            with mock.patch.object(data, "EMBEDDING_BLOCK_ROWS", 2), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                matrix, coverage = load(path, vocab, dim, seed=4)
+        except DataError as exc:
+            outcomes.append(str(exc))
+        else:
+            matrix = matrix.data if isinstance(matrix, Tensor) else matrix
+            outcomes.append((matrix.dtype, matrix.shape, matrix.tobytes(), coverage))
+    assert outcomes[0] == outcomes[1]
 
 
 def tiny_model(memory_update="hidden", hidden_dim=4, seed=1, dtype=np.float64):
