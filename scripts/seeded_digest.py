@@ -16,15 +16,22 @@ random parses, then prints one SHA-256 per configuration over:
 
 Then one line digests ``fidelity_tsv`` of the fidelity harness on the
 left-forest explainer at n = 1 and 3, which retrains a BiLSTM probe on the
-reduced documents.  A last line digests the float32 embedding matrix that
+reduced documents.  The next line digests the float32 embedding matrix that
 ``prepare_bundle`` builds from a seeded GloVe-format file: two lines outside
 the vocabulary per line inside, one token listed twice and more than two
 blocks of in-vocabulary rows.
 
+A last line digests one seeded float32 left-forest epoch at the reference
+shapes (e=300, d=100, K=7, eight 200-token documents in one batch): the
+trained parameters and the predictions on those documents.  Its products
+are large enough that OpenBLAS sums them in another order with two threads
+than with one, so this line, unlike the others, shows which BLAS thread
+count training ran with.
+
 A refactor that keeps every digest computes the same numbers bit for bit.
 Compare two checkouts by running each one's copy of this script; it
-imports the ``src`` next to it and pins one BLAS thread, so the digests do
-not depend on the machine's thread count.  Takes about 4 s on a 2-vCPU host.
+imports the ``src`` next to it and pins one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set.  Takes about 5 s on a 2-vCPU host.
 
     python3 scripts/seeded_digest.py
 """
@@ -42,13 +49,18 @@ from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from multigram.data import Vocab, load_embeddings  # noqa: E402
 from multigram.explain import extract_evidence, fidelity_harness, fidelity_tsv  # noqa: E402
+from multigram.model import TextClassifier  # noqa: E402
 from multigram.synthetic import make_planted_corpus  # noqa: E402
 from multigram.training import (  # noqa: E402
+    Adam,
+    EncodedDocs,
     TrainConfig,
     evaluate,
     forward_chunks,
     prepare_bundle,
+    run_epoch,
     train,
 )
 
@@ -157,12 +169,34 @@ def embeddings_digest() -> str:
     return out.sha.hexdigest()
 
 
+def reference_epoch_digest() -> str:
+    corpus = make_planted_corpus(
+        num_docs=8, num_classes=2, distractor_vocab=200, length_range=(200, 200), seed=5
+    ).corpus
+    vocab = Vocab.build(corpus.documents)
+    embeddings, _ = load_embeddings(None, vocab, 300, seed=5)
+    embeddings.data = embeddings.data.astype(np.float32)
+    docs = EncodedDocs.from_corpus(corpus, vocab)
+    config = TrainConfig(encoder="leftforest", embed_dim=300, hidden_dim=100, attention_dim=100,
+                         max_order=7, batch_size=8, seed=7)
+    model = TextClassifier(config.model_config(2), vocab, corpus.label_names, embeddings,
+                           init_seed=config.seed)
+    run_epoch(model, docs, Adam(model.store, config.learning_rate), 0, config)
+    out = Digest()
+    for name, value in sorted(model.store.state_dict().items()):
+        out.text(name)
+        out.array(value)
+    out.array(evaluate(model, docs).predictions)
+    return out.sha.hexdigest()
+
+
 def main() -> None:
     bundle = planted_bundle()
     for encoder, memory_update in CONFIGURATIONS:
         print(f"{encoder}\t{memory_update}\t{digest(bundle, encoder, memory_update)}")
     print(f"fidelity\tleftforest\t{fidelity_digest(bundle)}")
     print(f"embeddings\tglove\t{embeddings_digest()}")
+    print(f"reference\tleftforest\t{reference_epoch_digest()}")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ float64.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,8 +31,16 @@ class NumericError(RuntimeError):
     """A non-finite value appeared where finite arithmetic was required."""
 
 
-# Active tapes, innermost last.
-_TAPES: list["Tape"] = []
+class _ActiveTapes(threading.local):
+    """Each thread's active tapes, innermost last: a primitive records on
+    the innermost tape of the thread that runs it, so one thread's forward
+    pass never records on a tape another thread has active."""
+
+    def __init__(self):
+        self.stack: list["Tape"] = []
+
+
+_ACTIVE = _ActiveTapes()
 _macs = 0
 
 
@@ -126,8 +136,10 @@ class Tape:
     ``.grad`` backward writes).  Each record's pull closure holds only the
     arrays and flags its gradient formula reads, so an intermediate array
     that no formula reads (a gate pre-activation, a concatenation) is freed
-    as soon as the forward pass drops it.  Records live until the tape is
-    dropped.
+    as soon as the forward pass drops it.  ``backward`` releases each record
+    as soon as it has consumed it, so the arrays a pull kept are freed
+    during the backward pass.  ``len(tape)`` counts the records recorded on
+    the tape, and backward does not lower it.
     """
 
     def __init__(self):
@@ -137,13 +149,14 @@ class Tape:
         # gradient per input (None to skip).
         self._records: list[tuple[tuple[int, ...], tuple, Callable]] = []
         self._produced: set[int] = set()
+        self._released = 0
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPES.pop()
+        popped = _ACTIVE.stack.pop()
         assert popped is self
 
     def _record(self, outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], pull) -> None:
@@ -158,15 +171,24 @@ class Tape:
         self._records.append((out_keys, sources, pull))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + self._released
 
-    def backward(self, loss: Tensor, seed: float = 1.0) -> None:
+    def backward(
+        self,
+        loss: Tensor,
+        seed: float = 1.0,
+        handoff: Optional[tuple[float, Callable[[], None]]] = None,
+    ) -> None:
         """Propagate d(seed * loss)/d(tensor) to every recorded tensor.
 
         Gradients for leaf tensors (those not produced on this tape) are
-        added into ``tensor.grad``, so successive calls accumulate.  The
-        records are read, not consumed: they stay on the tape until the tape
-        is dropped.
+        summed over the whole pass and then added into ``tensor.grad``, so
+        successive calls accumulate.  Each record that passes a gradient on
+        is released as soon as its pull has run; records the loss does not
+        reach stay for a later backward.  A backward that needs a record an
+        earlier one released is a ``ValueError``.  With ``handoff`` =
+        (share, callback), ``callback()`` runs once, as soon as that share
+        of the records has been visited (released or passed over).
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -174,28 +196,56 @@ class Tape:
             raise ValueError("loss was not produced under this tape")
         grads: dict[int, object] = {loss.key: np.asarray(seed, dtype=loss.data.dtype)}
         leaves: dict[int, Tensor] = {}
-        for out_keys, sources, pull in reversed(self._records):
-            out_grads = []
-            missing = True
-            for key in out_keys:
-                g = grads.pop(key, None)
-                if isinstance(g, RowSpanGrad):
-                    g = g.densify()
-                if g is not None:
-                    missing = False
-                out_grads.append(g)
-            if missing:
-                continue
-            in_grads = pull(*out_grads)
-            for (key, needs_grad, leaf), grad in zip(sources, in_grads):
-                if grad is None or not needs_grad:
+        records = self._records
+        # The callback runs before the visit of record ``signal_at``, or
+        # after the last visit when the share is all of them.
+        signal = None if handoff is None else handoff[1]
+        signal_at = -2 if handoff is None else (
+            len(records) - 1 - math.ceil(len(records) * handoff[0])
+        )
+        released = 0
+        try:
+            for index in range(len(records) - 1, -1, -1):
+                if index == signal_at:
+                    signal()
+                out_keys, sources, pull = records[index]
+                out_grads = []
+                missing = True
+                for key in out_keys:
+                    g = grads.pop(key, None)
+                    if isinstance(g, RowSpanGrad):
+                        g = g.densify()
+                    if g is not None:
+                        missing = False
+                    out_grads.append(g)
+                if missing:
                     continue
-                # Pulls hand over ownership: each returned array is fresh, a
-                # dead buffer, or a view disjoint from its siblings, so the
-                # accumulator may store and mutate it without copying.
-                _accumulate_grad(grads, key, grad)
-                if leaf is not None:
-                    leaves[key] = leaf
+                records[index] = None
+                released += 1
+                in_grads = pull(*out_grads)
+                del pull
+                for (key, needs_grad, leaf), grad in zip(sources, in_grads):
+                    if grad is None or not needs_grad:
+                        continue
+                    # Pulls hand over ownership: each returned array is fresh,
+                    # a dead buffer, or a view disjoint from its siblings, so
+                    # the accumulator may store and mutate it without copying.
+                    _accumulate_grad(grads, key, grad)
+                    if leaf is not None:
+                        leaves[key] = leaf
+                del in_grads, out_grads
+            if signal_at == -1:
+                signal()
+        finally:
+            # Also when a pull raises: no hole is left among the records,
+            # and len(tape) still counts every one.
+            if released:
+                self._records = [record for record in records if record is not None]
+                self._released += released
+        if len(grads) != len(leaves):
+            # A gradient is left for a value produced on this tape whose
+            # record an earlier backward consumed.
+            raise ValueError("backward needs records that an earlier backward released")
         for key, tensor in leaves.items():
             grad = grads[key]
             if isinstance(grad, RowSpanGrad):
@@ -209,7 +259,8 @@ class Tape:
 def _results(datas: Sequence[np.ndarray], inputs: Sequence[Tensor], pull) -> tuple[Tensor, ...]:
     """Wrap each array of ``datas``; record ``pull`` for all of them when a
     tape is active and any input participates in differentiation."""
-    tape = _TAPES[-1] if _TAPES else None
+    tapes = _ACTIVE.stack
+    tape = tapes[-1] if tapes else None
     needs = tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(data, requires_grad=needs) for data in datas)
     if needs:

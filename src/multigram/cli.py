@@ -23,6 +23,7 @@ from .model import ENCODER_KINDS
 from .structures import STRUCTURE_KINDS, build_structure, structure_records
 from .synthetic import make_planted_corpus
 from .training import (
+    METRICS_HEADER,
     EncodedDocs,
     TrainConfig,
     bench_tsv,
@@ -31,6 +32,7 @@ from .training import (
     forward_chunks,
     prepare_bundle,
     split_bundle,
+    thread_plan,
     train,
 )
 
@@ -229,7 +231,7 @@ def cmd_train(args) -> int:
     if not args.corpus:
         raise UsageError("train needs --corpus (flag or config file)")
     _refuse_tree_without_parses(args, [config.encoder])
-    echo_config("train", config, args)
+    echo_config("train", config, args, extra=dataclasses.asdict(thread_plan(config.encoder)))
     corpus = load_corpus(args.corpus, parse_path=args.parses)
     bundle = prepare_bundle(corpus, args.embeddings, config.embed_dim, config.seed)
     stats = corpus.length_stats()
@@ -237,9 +239,18 @@ def cmd_train(args) -> int:
     print(f"[data] embedding coverage = {bundle.coverage:.1%}")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before training
-    result = train(config, bundle)
+    # One row per epoch, flushed as the epoch ends, so a run that dies
+    # leaves every finished epoch on disk.
+    with (out / "metrics.tsv").open("w", encoding="utf-8") as metrics:
+        metrics.write(METRICS_HEADER + "\n")
+        metrics.flush()
+
+        def record(row) -> None:
+            metrics.write(row.tsv_row() + "\n")
+            metrics.flush()
+
+        result = train(config, bundle, on_epoch=record)
     save_checkpoint(result.model, out / "model.ckpt", extra={"seed": config.seed})
-    (out / "metrics.tsv").write_text(result.metrics_tsv(), encoding="utf-8")
     print(f"[result] best dev accuracy = {result.best_dev_accuracy:.4f} "
           f"(epoch {result.best_epoch})")
     print(f"[result] checkpoint = {out / 'model.ckpt'}")

@@ -4,13 +4,22 @@ Batches contain same-length documents only (exact-length bucketing), which
 removes padding entirely.  Per-document encoders run each document under its
 own tape and backpropagate its share of the batch loss straight into the
 parameters' ``.grad``, in batch order; the step-batched BiLSTM runs the whole
-batch under one tape.
+batch under one tape.  On a machine with two or more usable CPUs, each
+document's backward pass runs on one helper thread while the next
+document's forward pass runs on the calling thread (``thread_plan``).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -228,13 +237,171 @@ def bucket_batches(lengths: Sequence[int], order: Sequence[int], batch_size: int
 
 
 # ---------------------------------------------------------------------------
+# Both cores: a helper thread for the backward passes
+# ---------------------------------------------------------------------------
+
+
+# The next document's forward pass starts once the previous document's
+# backward pass has visited this share of its tape's records, which it
+# releases as it goes.  Measured on a 2-vCPU host at the reference scale
+# against one thread (BENCH_22.json): starting at once raised the left
+# forest's peak RSS by 8.5-11 %; waiting for half raised it by 6.5 % (CNN
+# 4.5 %) and still trained 10 % faster (CNN 15 %).
+HANDOFF_SHARE = 0.5
+
+
+@functools.cache
+def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) for the thread count of the OpenBLAS bundled with numpy,
+    or None when that library or its symbols cannot be found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                put.restype, put.argtypes = None, (ctypes.c_int,)
+                return get, put
+    return None
+
+
+@functools.cache
+def _blas_threads_at_start() -> Optional[int]:
+    """The BLAS thread count before training first changed it (training
+    restores it after every epoch)."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class ThreadPlan:
+    """How training uses the cores: the BLAS thread count the process
+    started with and the count training runs with (None where it cannot be
+    read), and whether each document's backward runs on a helper thread."""
+
+    blas_threads_at_start: Optional[int]
+    blas_threads_in_training: Optional[int]
+    backward_on_helper: bool
+
+
+def thread_plan(encoder: str) -> ThreadPlan:
+    """The helper thread runs the backward passes of every per-document
+    encoder when two or more CPUs are usable and the BLAS thread count can
+    be read and set; training then runs one BLAS thread, since two pipeline
+    threads on two BLAS threads each would oversubscribe two cores.  Else
+    the backward passes run inline, on the calling thread, at the BLAS
+    thread count the process has."""
+    start = _blas_threads_at_start()
+    helper = encoder != "bilstm" and start is not None and _usable_cpus() > 1
+    return ThreadPlan(start, 1 if helper else start, helper)
+
+
+@contextlib.contextmanager
+def _blas_threads(plan: ThreadPlan):
+    """One BLAS thread while the helper runs, the old count afterwards."""
+    if not plan.backward_on_helper:
+        yield
+        return
+    get, put = _openblas()
+    old = get()
+    put(plan.blas_threads_in_training)
+    try:
+        yield
+    finally:
+        put(old)
+
+
+@functools.cache
+def _helper_jobs() -> queue.SimpleQueue:
+    """The job queue of the one persistent helper thread, started on first
+    use."""
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_run_backwards, args=(jobs,), name="multigram-backward",
+                     daemon=True).start()
+    return jobs
+
+
+# A forked child has no helper thread, so it starts its own.
+if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
+    os.register_at_fork(after_in_child=_helper_jobs.cache_clear)
+
+
+def _run_backwards(jobs: queue.SimpleQueue) -> None:
+    while True:
+        lane, tape, loss, seed, handoff, done = jobs.get()
+        try:
+            if lane.error is None:
+                tape.backward(loss, seed=seed, handoff=(HANDOFF_SHARE, handoff.set))
+        except BaseException as exc:  # re-raised on the calling thread
+            lane.error = exc
+        finally:
+            handoff.set()
+            done.set()
+            # Drop the tape now, not when the next job arrives.
+            del lane, tape, loss
+
+
+class _BackwardLane:
+    """Runs the backward passes of one epoch's documents in submission
+    order: on the helper thread, or inline on the calling thread."""
+
+    def __init__(self, on_helper: bool):
+        self.jobs = _helper_jobs() if on_helper else None
+        self.error: Optional[BaseException] = None
+        # The events of the last job: half its records visited, and done.
+        self.handoff: Optional[threading.Event] = None
+        self.done: Optional[threading.Event] = None
+
+    def submit(self, tape: Tape, loss: Tensor, seed: float) -> None:
+        if self.jobs is None:
+            tape.backward(loss, seed=seed)
+            return
+        self.handoff, self.done = threading.Event(), threading.Event()
+        self.jobs.put((self, tape, loss, seed, self.handoff, self.done))
+
+    def wait_handoff(self) -> None:
+        """Wait until the last submitted backward has visited
+        ``HANDOFF_SHARE`` of its records (so every earlier one is done)."""
+        if self.handoff is not None:
+            self.handoff.wait()
+        if self.error is not None:
+            self.drain()
+
+    def drain(self) -> None:
+        """Wait for every submitted backward; raise the first error one of
+        them raised."""
+        if self.done is not None:
+            self.done.wait()
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+
+
+# ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
 
 
-def _train_batch(model, docs, batch, epoch, batch_index, config) -> tuple[float, int]:
+def _train_batch(
+    model, docs, batch, epoch, batch_index, config, lane: Optional[_BackwardLane] = None
+) -> tuple[float, int]:
     """Accumulate the gradient of one batch's mean loss into the parameters;
-    returns (summed loss, correct predictions)."""
+    returns (summed loss, correct predictions).  A per-document encoder's
+    backward passes run on ``lane`` (inline by default); all have ended,
+    in batch order, when this returns."""
     if model.config.encoder == "bilstm":
         ids_matrix = np.stack([docs.ids[idx] for idx in batch])
         golds = docs.labels[batch]
@@ -243,17 +410,22 @@ def _train_batch(model, docs, batch, epoch, batch_index, config) -> tuple[float,
             loss, logits, _ = model.forward_batch_bilstm(ids_matrix, golds, train=True, rng=rng)
             tape.backward(loss)
         return float(loss.data) * len(batch), int((logits.argmax(axis=1) == golds).sum())
+    lane = lane or _BackwardLane(on_helper=False)
     loss_sum, correct = 0.0, 0
-    for idx in batch:
-        gold = int(docs.labels[idx])
-        rng = derive_rng(config.seed, _KEY_DOC_DROPOUT, epoch, int(idx))
-        with Tape() as tape:
-            output, loss = model.forward_doc(
-                docs.ids[idx], gold=gold, parse=docs.parse_for(idx), train=True, rng=rng
-            )
-            tape.backward(loss, seed=1.0 / len(batch))
-        loss_sum += float(loss.data)
-        correct += int(output.predicted == gold)
+    try:
+        for idx in batch:
+            gold = int(docs.labels[idx])
+            rng = derive_rng(config.seed, _KEY_DOC_DROPOUT, epoch, int(idx))
+            lane.wait_handoff()
+            with Tape() as tape:
+                output, loss = model.forward_doc(
+                    docs.ids[idx], gold=gold, parse=docs.parse_for(idx), train=True, rng=rng
+                )
+            lane.submit(tape, loss, 1.0 / len(batch))
+            loss_sum += float(loss.data)
+            correct += int(output.predicted == gold)
+    finally:
+        lane.drain()
     return loss_sum, correct
 
 
@@ -315,13 +487,28 @@ def evaluate(model: TextClassifier, docs: EncodedDocs, batch_size: int = 128) ->
 # ---------------------------------------------------------------------------
 
 
+METRICS_HEADER = "epoch\ttrain_loss\ttrain_acc\tdev_acc\ttrain_seconds\tdev_seconds\tseconds"
+
+
 @dataclass
 class EpochStats:
     epoch: int
     train_loss: float
     train_acc: float
     dev_acc: float
-    seconds: float
+    train_seconds: float
+    dev_seconds: float
+
+    @property
+    def seconds(self) -> float:
+        return self.train_seconds + self.dev_seconds
+
+    def tsv_row(self) -> str:
+        """One ``metrics.tsv`` line, in ``METRICS_HEADER``'s columns."""
+        return (
+            f"{self.epoch}\t{self.train_loss:.6f}\t{self.train_acc:.6f}\t{self.dev_acc:.6f}"
+            f"\t{self.train_seconds:.3f}\t{self.dev_seconds:.3f}\t{self.seconds:.3f}"
+        )
 
 
 @dataclass
@@ -331,38 +518,39 @@ class TrainResult:
     best_dev_accuracy: float
     best_epoch: int
 
-    def metrics_tsv(self) -> str:
-        lines = ["epoch\ttrain_loss\ttrain_acc\tdev_acc\tseconds"]
-        for row in self.history:
-            lines.append(
-                f"{row.epoch}\t{row.train_loss:.6f}\t{row.train_acc:.6f}"
-                f"\t{row.dev_acc:.6f}\t{row.seconds:.3f}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def run_epoch(model, docs, adam, epoch: int, config: TrainConfig) -> tuple[float, float]:
     """One pass over ``docs``: shuffle, bucket into same-length batches, and
     take one ADAM step per batch.  Returns (mean loss, training accuracy)."""
     order = derive_rng(config.seed, _KEY_SHUFFLE, epoch).permutation(len(docs))
     batches = bucket_batches(docs.lengths, order, config.batch_size)
+    plan = thread_plan(model.config.encoder)
+    lane = _BackwardLane(plan.backward_on_helper)
     loss_sum, correct = 0.0, 0
-    for batch_index, batch in enumerate(batches):
-        adam.zero_grad()
-        batch_loss, batch_correct = _train_batch(model, docs, batch, epoch, batch_index, config)
-        loss_sum += batch_loss
-        correct += batch_correct
-        adam.step()
+    with _blas_threads(plan):
+        for batch_index, batch in enumerate(batches):
+            adam.zero_grad()
+            batch_loss, batch_correct = _train_batch(
+                model, docs, batch, epoch, batch_index, config, lane
+            )
+            loss_sum += batch_loss
+            correct += batch_correct
+            adam.step()
     # The last batch's gradients are spent; freeing them leaves room for the
     # dev evaluation's first-layer table.
     adam.zero_grad()
     return loss_sum / len(docs), correct / len(docs)
 
 
-def train(config: TrainConfig, bundle: DataBundle) -> TrainResult:
+def train(
+    config: TrainConfig,
+    bundle: DataBundle,
+    on_epoch: Optional[Callable[[EpochStats], None]] = None,
+) -> TrainResult:
     """Train with per-epoch shuffling and dev-set model selection: the
     returned model carries the best-dev parameters, and training stops after
-    ``patience`` epochs without a dev improvement."""
+    ``patience`` epochs without a dev improvement.  ``on_epoch`` receives
+    each epoch's record as soon as the epoch ends."""
     config.validate()
     if len(bundle.train) == 0 or len(bundle.dev) == 0:
         raise DataError("training needs non-empty train and dev splits")
@@ -382,10 +570,12 @@ def train(config: TrainConfig, bundle: DataBundle) -> TrainResult:
     for epoch in range(config.epochs):
         started = time.perf_counter()
         train_loss, train_acc = run_epoch(model, bundle.train, adam, epoch, config)
+        trained = time.perf_counter()
         dev_acc = evaluate(model, bundle.dev).accuracy
-        history.append(
-            EpochStats(epoch, train_loss, train_acc, dev_acc, time.perf_counter() - started)
-        )
+        history.append(EpochStats(epoch, train_loss, train_acc, dev_acc,
+                                  trained - started, time.perf_counter() - trained))
+        if on_epoch is not None:
+            on_epoch(history[-1])
         if dev_acc > best_acc:
             best_acc, best_epoch, stale = dev_acc, epoch, 0
             best_state = model.store.state_dict()
@@ -409,6 +599,7 @@ class BenchRow:
     eval_seconds: float
     parameters: int
     encoder_macs: int
+    threads: ThreadPlan
 
 
 def measure_encoder_macs(model: TextClassifier, docs: EncodedDocs) -> int:
@@ -468,16 +659,19 @@ def benchmark(
                 eval_seconds=eval_seconds,
                 parameters=model.parameter_count(),
                 encoder_macs=measure_encoder_macs(model, bundle.train),
+                threads=thread_plan(kind),
             )
         )
     return rows
 
 
 def bench_tsv(rows: Sequence[BenchRow]) -> str:
-    lines = ["encoder\ttrain_epoch_seconds\teval_seconds\tparameters\tencoder_macs"]
+    lines = ["encoder\ttrain_epoch_seconds\teval_seconds\tparameters\tencoder_macs"
+             "\tblas_threads_at_start\tblas_threads_in_training\tbackward_on_helper"]
     for row in rows:
         lines.append(
             f"{row.encoder}\t{row.train_epoch_seconds:.3f}\t{row.eval_seconds:.3f}"
-            f"\t{row.parameters}\t{row.encoder_macs}"
+            f"\t{row.parameters}\t{row.encoder_macs}\t{row.threads.blas_threads_at_start}"
+            f"\t{row.threads.blas_threads_in_training}\t{row.threads.backward_on_helper}"
         )
     return "\n".join(lines) + "\n"

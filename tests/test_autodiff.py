@@ -1,4 +1,5 @@
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -205,6 +206,70 @@ class TestTapeRetention:
         for t in inputs:
             numeric = finite_difference(lambda: self.forward(*inputs, []), t)
             np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-6)
+
+
+class TestBackwardRelease:
+    """Backward releases each record once its pull has run, so what the
+    pulls kept is freed during the pass, not when the tape is dropped."""
+
+    def chain(self, x, steps):
+        h = x
+        for _ in range(steps):
+            h = ad.tanh(h)  # tanh's pull keeps its output
+        return ad.sum_all(ad.sigmoid(h))
+
+    def test_arrays_the_pulls_kept_die_in_backward_and_len_still_counts(self):
+        x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = self.chain(x, 3)
+        kept = [weakref.ref(cell.cell_contents)
+                for _, _, pull in tape._records for cell in pull.__closure__ or ()
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(kept) == 4 and all(ref() is not None for ref in kept)
+        assert len(tape) == 5
+        tape.backward(loss)
+        assert [ref() for ref in kept] == [None] * 4
+        assert len(tape) == 5
+        expected = x.grad.copy()
+        x.grad = None
+        with Tape() as again:
+            again.backward(self.chain(x, 3))
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_a_second_backward_over_released_records_is_refused(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        with Tape() as tape:
+            loss = self.chain(x, 2)
+            tape.backward(loss)
+            with pytest.raises(ValueError, match="released"):
+                tape.backward(loss)
+
+    def test_handoff_runs_once_after_its_share_of_the_records(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        with Tape() as tape:
+            loss = self.chain(x, 8)  # 10 records
+        released_at_signal = []
+        tape.backward(loss, handoff=(
+            0.5, lambda: released_at_signal.append(tape._records.count(None))
+        ))
+        assert released_at_signal == [5]
+
+    def test_a_primitive_on_another_thread_records_nothing_on_this_tape(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        with Tape() as tape:
+            loss = self.chain(x, 1)
+            recorded = len(tape)
+            elsewhere = []
+            worker = threading.Thread(target=lambda: elsewhere.append(ad.tanh(x)))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(tape) == recorded
+            assert not elsewhere[0].requires_grad
+            tape.backward(loss)
+        np.testing.assert_allclose(
+            x.grad, finite_difference(lambda: self.chain(x, 1), x), rtol=1e-6, atol=1e-6
+        )
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from multigram import cli
+from multigram import cli, training
+from multigram.autodiff import NumericError
 from multigram.cli import main
 from multigram.synthetic import make_planted_corpus
 
@@ -99,6 +100,29 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "[config] seed = 3" in stdout
         assert "best dev accuracy" in stdout
+        plan = training.thread_plan("leftforest")
+        assert f"[config] blas_threads_at_start = {plan.blas_threads_at_start}\n" in stdout
+        assert f"[config] blas_threads_in_training = {plan.blas_threads_in_training}\n" in stdout
+        assert f"[config] backward_on_helper = {plan.backward_on_helper}\n" in stdout
+
+    def test_metrics_rows_reach_disk_as_each_epoch_ends(self, corpus_path, tmp_path, capsys,
+                                                        monkeypatch):
+        run_epoch = training.run_epoch
+
+        def failing_third_epoch(model, docs, adam, epoch, config):
+            if epoch == 2:
+                raise NumericError("injected in epoch 3")
+            return run_epoch(model, docs, adam, epoch, config)
+
+        monkeypatch.setattr(training, "run_epoch", failing_third_epoch)
+        out = tmp_path / "run"
+        assert run(["train", "--corpus", corpus_path, "--encoder", "leftforest", *FAST,
+                    "--epochs", "4", "--patience", "4", "--output-dir", out]) == 3
+        assert "numeric failure: injected in epoch 3" in capsys.readouterr().err
+        lines = (out / "metrics.tsv").read_text().split("\n")
+        assert lines[0] == training.METRICS_HEADER
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0", "1", ""]
+        assert not (out / "model.ckpt").exists()
 
     def test_missing_corpus_names_path(self, tmp_path, capsys):
         code = run(["train", "--corpus", tmp_path / "nope.tsv", *FAST])
@@ -129,8 +153,9 @@ class TestTrain:
             assert run(["train", "--corpus", corpus_path, "--encoder", "leftforest",
                         *FAST, "--output-dir", out]) == 0
             rows = (out / "metrics.tsv").read_text().strip().split("\n")
-            # Wall-clock seconds legitimately differ between runs.
-            logs.append([row.rsplit("\t", 1)[0] for row in rows])
+            # Wall-clock seconds (the last three columns) legitimately
+            # differ between runs.
+            logs.append([row.rsplit("\t", 3)[0] for row in rows])
         assert logs[0] == logs[1]
 
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -411,6 +436,15 @@ class TestEvalExplainBench:
         out = capsys.readouterr().out
         assert "encoder\ttrain_epoch_seconds" in out
         assert "leftforest\t" in out and "cnn\t" in out
+        header, *rows = out[out.index("encoder\t"):].strip().split("\n")
+        assert header.split("\t")[-3:] == [
+            "blas_threads_at_start", "blas_threads_in_training", "backward_on_helper"
+        ]
+        for row in rows:
+            plan = training.thread_plan(row.split("\t")[0])
+            assert row.split("\t")[-3:] == [str(plan.blas_threads_at_start),
+                                            str(plan.blas_threads_in_training),
+                                            str(plan.backward_on_helper)]
 
     def test_ablate_emits_one_row_per_cell(self, corpus_path, tmp_path, capsys):
         out_file = tmp_path / "sweep.tsv"

@@ -1,14 +1,17 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from multigram import structures
+from multigram import structures, training
 from multigram.autodiff import NumericError, ParamStore, Tape, Tensor
 from multigram.data import Corpus
 from multigram.errors import DataError
 from multigram.model import ENCODER_KINDS, TextClassifier
 from multigram.training import (
+    METRICS_HEADER,
     Adam,
     DataBundle,
     EncodedDocs,
@@ -22,6 +25,7 @@ from multigram.training import (
     evaluate,
     measure_encoder_macs,
     prepare_bundle,
+    run_epoch,
     train,
 )
 
@@ -215,10 +219,15 @@ class TestTrainLoop:
         corpus = toy_corpus()
         bundle = prepare_bundle(corpus, None, embed_dim=12, seed=1)
         result = train(small_config(epochs=2, patience=2), bundle)
-        lines = result.metrics_tsv().strip().split("\n")
-        assert lines[0] == "epoch\ttrain_loss\ttrain_acc\tdev_acc\tseconds"
-        assert len(lines) == 1 + len(result.history)
-        assert all(len(line.split("\t")) == 5 for line in lines[1:])
+        assert METRICS_HEADER == (
+            "epoch\ttrain_loss\ttrain_acc\tdev_acc\ttrain_seconds\tdev_seconds\tseconds"
+        )
+        assert len(result.history) == 2
+        for epoch, row in enumerate(result.history):
+            fields = row.tsv_row().split("\t")
+            assert len(fields) == 7 and fields[0] == str(epoch)
+            assert row.seconds == row.train_seconds + row.dev_seconds
+            assert fields[-1] == f"{row.seconds:.3f}"
 
 
 class TestGradientBatchingConsistency:
@@ -259,6 +268,131 @@ class TestGradientBatchingConsistency:
         assert (loss_sum, correct) == (ref_loss, ref_correct)
         for name in batched:
             assert np.array_equal(batched[name], reference[name]), name
+
+
+# The helper runs only where the BLAS thread count can be set.
+needs_helper = pytest.mark.skipif(
+    training._openblas() is None, reason="the BLAS thread count cannot be read and set"
+)
+
+
+def use_helper(monkeypatch, on: bool) -> None:
+    """Make training see two usable CPUs (backward passes on the helper) or
+    one (inline)."""
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2 if on else 1)
+
+
+def helper_bundle(dtype=np.float32):
+    """Two document lengths, with parses for the tree; embeddings in ``dtype``."""
+    corpus = mixed_length_corpus((9, 12), per_class=6)
+    rng = np.random.default_rng(2)
+    corpus.parses = [random_bracketing(doc, rng) for doc in corpus.documents]
+    bundle = prepare_bundle(corpus, None, embed_dim=12, seed=1)
+    bundle.embeddings.data = bundle.embeddings.data.astype(dtype)
+    return bundle
+
+
+def helper_model(bundle, encoder):
+    config = small_config(encoder=encoder, max_order=3, batch_size=6)
+    model = TextClassifier(config.model_config(bundle.num_classes), bundle.vocab,
+                           bundle.label_names, bundle.embeddings, init_seed=0)
+    return model, Adam(model.store, config.learning_rate), config
+
+
+@needs_helper
+class TestBackwardHelper:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "encoder", ["tree", "pyramid", "leftforest", "rightforest", "biforest", "cnn"]
+    )
+    def test_helper_trains_bit_for_bit_as_inline(self, encoder, dtype, monkeypatch):
+        bundle = helper_bundle(dtype)
+        runs = []
+        for on in (True, False):
+            use_helper(monkeypatch, on)
+            assert training.thread_plan(encoder).backward_on_helper is on
+            model, adam, config = helper_model(bundle, encoder)
+            stats = [run_epoch(model, bundle.train, adam, epoch, config) for epoch in range(2)]
+            runs.append((stats, model.store.state_dict()))
+        (helper_stats, helper_state), (inline_stats, inline_state) = runs
+        assert helper_stats == inline_stats
+        assert helper_state.keys() == inline_state.keys()
+        for name, value in helper_state.items():
+            assert value.dtype == dtype
+            assert np.array_equal(value, inline_state[name]), name
+
+    def test_bit_identity_holds_under_fast_thread_switching(self, monkeypatch):
+        # A switch every few microseconds interleaves the forward and the
+        # backward passes at many more points than the default 5 ms does.
+        bundle = helper_bundle()
+        interval = sys.getswitchinterval()
+        runs = []
+        try:
+            sys.setswitchinterval(1e-5)
+            for on in (True, False):
+                use_helper(monkeypatch, on)
+                model, adam, config = helper_model(bundle, "biforest")
+                stats = [run_epoch(model, bundle.train, adam, epoch, config)
+                         for epoch in range(3)]
+                runs.append((stats, model.store.state_dict()))
+        finally:
+            sys.setswitchinterval(interval)
+        (helper_stats, helper_state), (inline_stats, inline_state) = runs
+        assert helper_stats == inline_stats
+        for name, value in helper_state.items():
+            assert np.array_equal(value, inline_state[name]), name
+
+    def test_error_in_a_pull_surfaces_on_the_calling_thread(self, monkeypatch):
+        bundle = helper_bundle()
+        use_helper(monkeypatch, True)
+        model, adam, config = helper_model(bundle, "leftforest")
+        # Every pull recorded on the fourth document's tape fails.
+        tapes, raised_on = [], []
+        enter, record = Tape.__enter__, Tape._record
+
+        def counting_enter(tape):
+            tapes.append(tape)
+            return enter(tape)
+
+        def failing_record(tape, outputs, inputs, pull):
+            def failing_pull(*grads):
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("injected failure")
+
+            record(tape, outputs, inputs, failing_pull if len(tapes) == 4 else pull)
+
+        monkeypatch.setattr(Tape, "__enter__", counting_enter)
+        monkeypatch.setattr(Tape, "_record", failing_record)
+        with pytest.raises(RuntimeError, match="^injected failure$"):
+            run_epoch(model, bundle.train, adam, 0, config)
+        assert raised_on and raised_on[0] is not threading.current_thread()
+        monkeypatch.setattr(Tape, "_record", record)
+        loss, accuracy = run_epoch(model, bundle.train, adam, 1, config)
+        assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("encoder, name, raised", [
+        # The forward pass saturates; the helper's backward computes an
+        # infinite gradient, which the ADAM step refuses.
+        ("leftforest", "encoder.u_left", "non-finite gradient for parameter 'encoder.w'"),
+        # The forward pass fails while the previous backward is in flight.
+        ("cnn", "classifier.w", "non-finite loss"),
+    ])
+    def test_non_finite_parameter_gives_the_inline_error(self, encoder, name, raised,
+                                                         monkeypatch):
+        bundle = helper_bundle()
+        for on in (False, True):
+            use_helper(monkeypatch, on)
+            model, adam, config = helper_model(bundle, encoder)
+            parameter = model.store.get(name)
+            kept = parameter.data.copy()
+            parameter.data.reshape(-1)[0] = np.inf
+            with pytest.raises(NumericError) as error:
+                run_epoch(model, bundle.train, adam, 0, config)
+            assert str(error.value) == raised
+            parameter.data[...] = kept
+            loss, accuracy = run_epoch(model, bundle.train, adam, 1, config)
+            assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
 
 
 def mixed_length_corpus(lengths, per_class=4):
