@@ -16,7 +16,6 @@ float64.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -173,12 +172,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records) + self._released
 
-    def backward(
-        self,
-        loss: Tensor,
-        seed: float = 1.0,
-        handoff: Optional[tuple[float, Callable[[], None]]] = None,
-    ) -> None:
+    def backward(self, loss: Tensor, seed: float = 1.0) -> None:
         """Propagate d(seed * loss)/d(tensor) to every recorded tensor.
 
         Gradients for leaf tensors (those not produced on this tape) are
@@ -186,9 +180,7 @@ class Tape:
         successive calls accumulate.  Each record that passes a gradient on
         is released as soon as its pull has run; records the loss does not
         reach stay for a later backward.  A backward that needs a record an
-        earlier one released is a ``ValueError``.  With ``handoff`` =
-        (share, callback), ``callback()`` runs once, as soon as that share
-        of the records has been visited (released or passed over).
+        earlier one released is a ``ValueError``.
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -197,17 +189,9 @@ class Tape:
         grads: dict[int, object] = {loss.key: np.asarray(seed, dtype=loss.data.dtype)}
         leaves: dict[int, Tensor] = {}
         records = self._records
-        # The callback runs before the visit of record ``signal_at``, or
-        # after the last visit when the share is all of them.
-        signal = None if handoff is None else handoff[1]
-        signal_at = -2 if handoff is None else (
-            len(records) - 1 - math.ceil(len(records) * handoff[0])
-        )
         released = 0
         try:
             for index in range(len(records) - 1, -1, -1):
-                if index == signal_at:
-                    signal()
                 out_keys, sources, pull = records[index]
                 out_grads = []
                 missing = True
@@ -234,8 +218,6 @@ class Tape:
                     if leaf is not None:
                         leaves[key] = leaf
                 del in_grads, out_grads
-            if signal_at == -1:
-                signal()
         finally:
             # Also when a pull raises: no hole is left among the records,
             # and len(tape) still counts every one.

@@ -266,10 +266,21 @@ def _checkpoint_corpus(args, model):
 
 def _split_seed(args) -> int:
     """The seed given by flag or config file, else the one the checkpoint's
-    training run recorded: ``eval`` and ``fidelity`` split as that run did."""
+    training run recorded: ``eval`` and ``fidelity`` split as that run did.
+    A negative flag is a usage error, a malformed recorded seed a data
+    error."""
     if args.seed is not None:
-        return args.seed
-    return read_checkpoint_header(args.checkpoint).get("extra", {}).get("seed", 0)
+        return _checked(TrainConfig(seed=args.seed)).seed
+    extra = read_checkpoint_header(args.checkpoint).get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{args.checkpoint}: checkpoint header's extra is not a JSON object")
+    seed = extra.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise DataError(
+            f"{args.checkpoint}: checkpoint header's extra.seed is {seed!r}, "
+            f"not a non-negative integer"
+        )
+    return seed
 
 
 def _checkpoint_bundle(args, model, seed: int):

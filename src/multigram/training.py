@@ -5,8 +5,9 @@ removes padding entirely.  Per-document encoders run each document under its
 own tape and backpropagate its share of the batch loss straight into the
 parameters' ``.grad``, in batch order; the step-batched BiLSTM runs the whole
 batch under one tape.  On a machine with two or more usable CPUs, each
-document's backward pass runs on one helper thread while the next
-document's forward pass runs on the calling thread (``thread_plan``).
+document's backward pass runs on a one-worker executor while the next
+document's forward pass runs on the calling thread, with one backward in
+flight at a time (``thread_plan``).
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ import contextlib
 import ctypes
 import functools
 import os
-import queue
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +243,6 @@ def bucket_batches(lengths: Sequence[int], order: Sequence[int], batch_size: int
 # ---------------------------------------------------------------------------
 
 
-# The next document's forward pass starts once the previous document's
-# backward pass has visited this share of its tape's records, which it
-# releases as it goes.  Measured on a 2-vCPU host at the reference scale
-# against one thread (BENCH_22.json): starting at once raised the left
-# forest's peak RSS by 8.5-11 %; waiting for half raised it by 6.5 % (CNN
-# 4.5 %) and still trained 10 % faster (CNN 15 %).
-HANDOFF_SHARE = 0.5
-
-
 @functools.cache
 def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
     """(get, set) for the thread count of the OpenBLAS bundled with numpy,
@@ -324,84 +317,20 @@ def _blas_threads(plan: ThreadPlan):
         put(old)
 
 
-@functools.cache
-def _helper_jobs() -> queue.SimpleQueue:
-    """The job queue of the one persistent helper thread, started on first
-    use."""
-    jobs: queue.SimpleQueue = queue.SimpleQueue()
-    threading.Thread(target=_run_backwards, args=(jobs,), name="multigram-backward",
-                     daemon=True).start()
-    return jobs
-
-
-# A forked child has no helper thread, so it starts its own.
-if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
-    os.register_at_fork(after_in_child=_helper_jobs.cache_clear)
-
-
-def _run_backwards(jobs: queue.SimpleQueue) -> None:
-    while True:
-        lane, tape, loss, seed, handoff, done = jobs.get()
-        try:
-            if lane.error is None:
-                tape.backward(loss, seed=seed, handoff=(HANDOFF_SHARE, handoff.set))
-        except BaseException as exc:  # re-raised on the calling thread
-            lane.error = exc
-        finally:
-            handoff.set()
-            done.set()
-            # Drop the tape now, not when the next job arrives.
-            del lane, tape, loss
-
-
-class _BackwardLane:
-    """Runs the backward passes of one epoch's documents in submission
-    order: on the helper thread, or inline on the calling thread."""
-
-    def __init__(self, on_helper: bool):
-        self.jobs = _helper_jobs() if on_helper else None
-        self.error: Optional[BaseException] = None
-        # The events of the last job: half its records visited, and done.
-        self.handoff: Optional[threading.Event] = None
-        self.done: Optional[threading.Event] = None
-
-    def submit(self, tape: Tape, loss: Tensor, seed: float) -> None:
-        if self.jobs is None:
-            tape.backward(loss, seed=seed)
-            return
-        self.handoff, self.done = threading.Event(), threading.Event()
-        self.jobs.put((self, tape, loss, seed, self.handoff, self.done))
-
-    def wait_handoff(self) -> None:
-        """Wait until the last submitted backward has visited
-        ``HANDOFF_SHARE`` of its records (so every earlier one is done)."""
-        if self.handoff is not None:
-            self.handoff.wait()
-        if self.error is not None:
-            self.drain()
-
-    def drain(self) -> None:
-        """Wait for every submitted backward; raise the first error one of
-        them raised."""
-        if self.done is not None:
-            self.done.wait()
-        error, self.error = self.error, None
-        if error is not None:
-            raise error
-
-
 # ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
 
 
 def _train_batch(
-    model, docs, batch, epoch, batch_index, config, lane: Optional[_BackwardLane] = None
+    model, docs, batch, epoch, batch_index, config, helper: Optional[ThreadPoolExecutor] = None
 ) -> tuple[float, int]:
     """Accumulate the gradient of one batch's mean loss into the parameters;
-    returns (summed loss, correct predictions).  A per-document encoder's
-    backward passes run on ``lane`` (inline by default); all have ended,
-    in batch order, when this returns."""
+    returns (summed loss, correct predictions).  A per-document encoder runs
+    each document's backward pass on ``helper`` (inline when None) while the
+    next document's forward pass runs: document j's backward is submitted
+    once document j-1's has ended, so one is in flight at a time.  All have
+    ended, in batch order, when this returns."""
     if model.config.encoder == "bilstm":
         ids_matrix = np.stack([docs.ids[idx] for idx in batch])
         golds = docs.labels[batch]
@@ -410,22 +339,30 @@ def _train_batch(
             loss, logits, _ = model.forward_batch_bilstm(ids_matrix, golds, train=True, rng=rng)
             tape.backward(loss)
         return float(loss.data) * len(batch), int((logits.argmax(axis=1) == golds).sum())
-    lane = lane or _BackwardLane(on_helper=False)
     loss_sum, correct = 0.0, 0
+    pending: Optional[Future] = None
     try:
         for idx in batch:
             gold = int(docs.labels[idx])
             rng = derive_rng(config.seed, _KEY_DOC_DROPOUT, epoch, int(idx))
-            lane.wait_handoff()
             with Tape() as tape:
                 output, loss = model.forward_doc(
                     docs.ids[idx], gold=gold, parse=docs.parse_for(idx), train=True, rng=rng
                 )
-            lane.submit(tape, loss, 1.0 / len(batch))
+            if pending is not None:
+                previous, pending = pending, None
+                previous.result()  # re-raises the helper's error here
+            if helper is None:
+                tape.backward(loss, seed=1.0 / len(batch))
+            else:
+                pending = helper.submit(tape.backward, loss, seed=1.0 / len(batch))
             loss_sum += float(loss.data)
             correct += int(output.predicted == gold)
     finally:
-        lane.drain()
+        # Also when a forward pass raises: its predecessor's error, if any,
+        # is the one raised, as inline.
+        if pending is not None:
+            pending.result()
     return loss_sum, correct
 
 
@@ -525,13 +462,14 @@ def run_epoch(model, docs, adam, epoch: int, config: TrainConfig) -> tuple[float
     order = derive_rng(config.seed, _KEY_SHUFFLE, epoch).permutation(len(docs))
     batches = bucket_batches(docs.lengths, order, config.batch_size)
     plan = thread_plan(model.config.encoder)
-    lane = _BackwardLane(plan.backward_on_helper)
+    helper = (ThreadPoolExecutor(1, thread_name_prefix="multigram-backward")
+              if plan.backward_on_helper else contextlib.nullcontext())
     loss_sum, correct = 0.0, 0
-    with _blas_threads(plan):
+    with _blas_threads(plan), helper as helper:
         for batch_index, batch in enumerate(batches):
             adam.zero_grad()
             batch_loss, batch_correct = _train_batch(
-                model, docs, batch, epoch, batch_index, config, lane
+                model, docs, batch, epoch, batch_index, config, helper
             )
             loss_sum += batch_loss
             correct += batch_correct

@@ -244,16 +244,6 @@ class TestBackwardRelease:
             with pytest.raises(ValueError, match="released"):
                 tape.backward(loss)
 
-    def test_handoff_runs_once_after_its_share_of_the_records(self):
-        x = Tensor(RNG.normal(size=3), requires_grad=True)
-        with Tape() as tape:
-            loss = self.chain(x, 8)  # 10 records
-        released_at_signal = []
-        tape.backward(loss, handoff=(
-            0.5, lambda: released_at_signal.append(tape._records.count(None))
-        ))
-        assert released_at_signal == [5]
-
     def test_a_primitive_on_another_thread_records_nothing_on_this_tape(self):
         x = Tensor(RNG.normal(size=3), requires_grad=True)
         with Tape() as tape:

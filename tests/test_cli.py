@@ -214,6 +214,13 @@ class TestConfigFile:
         assert "[config] seed = 9" in stdout  # flag wins over file
         assert "[config] hidden_dim = 6" in stdout
 
+    def test_a_negative_seed_in_a_config_file_is_a_usage_error(self, corpus_path, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = -1\ncorpus = {corpus_path}\n")
+        assert run(["train", "--config", cfg, "--output-dir", tmp_path / "run"]) == 1
+        assert capsys.readouterr().err == "usage error: seed must be non-negative\n"
+
     def test_unknown_key_rejected(self, corpus_path, tmp_path, capsys):
         # ``threads`` was a key once; it is now as unknown as any other.
         for key in ("explosiveness", "threads"):
@@ -342,6 +349,44 @@ class TestEvalExplainBench:
                     *FAST[:-2], "--n-values", "2"]) == 0
         assert seen["eval"] == seen["fidelity"]
         assert capsys.readouterr().out.count("[config] seed = 3\n") == 2
+
+    @pytest.mark.parametrize("command, args", [
+        ("train", ["--corpus", "{corpus}", "--output-dir", "{tmp}/run"]),
+        ("ablate", ["--corpus", "{corpus}"]),
+        ("fidelity", ["--corpus", "{corpus}", "--checkpoint", "{checkpoint}"]),
+        ("bench", []),  # the generated corpus
+        ("eval", ["--corpus", "{corpus}", "--checkpoint", "{checkpoint}", "--split", "dev"]),
+    ], ids=["train", "ablate", "fidelity", "bench", "eval"])
+    def test_a_negative_seed_is_a_usage_error(self, trained_run, corpus_path, tmp_path, capsys,
+                                              command, args):
+        paths = {"corpus": corpus_path, "tmp": tmp_path, "checkpoint": trained_run}
+        args = [arg.format(**paths) for arg in args]
+        assert run([command, "--seed", "-1", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: seed must be non-negative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "checkpoint header's extra is not a JSON object"),
+        ({"seed": "x"}, "checkpoint header's extra.seed is 'x', not a non-negative integer"),
+        ({"seed": 1.5}, "checkpoint header's extra.seed is 1.5, not a non-negative integer"),
+        ({"seed": -1}, "checkpoint header's extra.seed is -1, not a non-negative integer"),
+    ], ids=["extra-list", "seed-text", "seed-float", "seed-negative"])
+    @pytest.mark.parametrize("command", ["eval", "fidelity"])
+    def test_a_malformed_recorded_seed_is_a_data_error(self, trained_run, corpus_path, tmp_path,
+                                                       capsys, command, extra, message):
+        from multigram.data import read_checkpoint_header
+
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(trained_run.read_bytes())
+        header = read_checkpoint_header(broken)
+        header["extra"] = extra
+        rewrite_checkpoint_header(broken, header)
+        args = ["--split", "dev"] if command == "eval" else [*FAST[:-2], "--n-values", "2"]
+        assert run([command, "--checkpoint", broken, "--corpus", corpus_path, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {broken}: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("args", [
         ["explain", "--epochs", "3"],

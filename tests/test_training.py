@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -393,6 +394,42 @@ class TestBackwardHelper:
             parameter.data[...] = kept
             loss, accuracy = run_epoch(model, bundle.train, adam, 1, config)
             assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+
+
+@needs_helper
+@pytest.mark.parametrize("encoder", ["leftforest", "cnn"])
+def test_at_most_one_backward_is_unfinished_when_a_forward_starts(encoder, monkeypatch):
+    # Each backward is slowed, so a helper that took backward passes faster
+    # than it ran them would fall two or more behind the forward passes.
+    bundle = helper_bundle()
+    use_helper(monkeypatch, True)
+    model, adam, config = helper_model(bundle, encoder)
+    lock = threading.Lock()
+    ended = {"forward": 0, "backward": 0}
+    unfinished_at_forward_start = []
+    backward, forward_doc = Tape.backward, TextClassifier.forward_doc
+
+    def slow_backward(tape, *args, **kwargs):
+        time.sleep(0.01)
+        backward(tape, *args, **kwargs)
+        with lock:
+            ended["backward"] += 1
+
+    def watched_forward_doc(model, *args, **kwargs):
+        with lock:
+            unfinished_at_forward_start.append(ended["forward"] - ended["backward"])
+        result = forward_doc(model, *args, **kwargs)
+        with lock:
+            ended["forward"] += 1
+        return result
+
+    monkeypatch.setattr(Tape, "backward", slow_backward)
+    monkeypatch.setattr(TextClassifier, "forward_doc", watched_forward_doc)
+    run_epoch(model, bundle.train, adam, 0, config)
+    assert len(unfinished_at_forward_start) == len(bundle.train)
+    assert ended["backward"] == len(bundle.train)
+    # The pipeline overlaps: some forward starts while a backward is unfinished.
+    assert max(unfinished_at_forward_start) == 1
 
 
 def mixed_length_corpus(lengths, per_class=4):
